@@ -13,8 +13,7 @@ use parking_lot::Mutex;
 use kgqan_rdf::{GraphStats, IngestBatch, IngestReport, LiveStore, Store, StoreSnapshot};
 use kgqan_sparql::eval::is_text_search_pattern;
 use kgqan_sparql::{
-    parse_query, ExecMetrics, ExecOptions, ParallelConfig, PlanSummary, Planner, Query,
-    QueryResults,
+    parse_query, ExecOptions, PlanSummary, Planner, Query, QueryResults, SparqlError,
 };
 
 use crate::dialect::EngineDialect;
@@ -35,10 +34,6 @@ pub struct InProcessEndpoint {
     dialect: EngineDialect,
     live: Arc<LiveStore>,
     latency: Duration,
-    /// Morsel-parallelism knobs handed to every planner this endpoint
-    /// builds.  The default config keeps small queries on the sequential
-    /// fast path and parallelises only large driving scans.
-    parallel: ParallelConfig,
     stats: Mutex<RequestStats>,
 }
 
@@ -57,7 +52,6 @@ impl InProcessEndpoint {
             dialect: EngineDialect::Virtuoso,
             live,
             latency: Duration::ZERO,
-            parallel: ParallelConfig::default(),
             stats: Mutex::new(RequestStats::default()),
         }
     }
@@ -65,14 +59,6 @@ impl InProcessEndpoint {
     /// Select the engine dialect the endpoint advertises.
     pub fn with_dialect(mut self, dialect: EngineDialect) -> Self {
         self.dialect = dialect;
-        self
-    }
-
-    /// Override the morsel-parallelism knobs (degree-of-parallelism cap,
-    /// per-worker row threshold, morsel granularity).  Setting
-    /// `max_dop: 1` pins every query to the sequential path.
-    pub fn with_parallelism(mut self, config: ParallelConfig) -> Self {
-        self.parallel = config;
         self
     }
 
@@ -108,6 +94,17 @@ impl InProcessEndpoint {
         self.live.snapshot().stats()
     }
 
+    /// Pin the current epoch and hand `f` the planner every request path
+    /// plans with: planning statistics and execution scans come from the
+    /// same immutable snapshot, no matter how many epochs a concurrent
+    /// writer publishes meanwhile.  The *shared* snapshot handle lets a plan
+    /// run its driving scan as parallel morsels over that same epoch, so
+    /// `explain` renders exactly the plan the query paths run.
+    fn with_pinned_planner<R>(&self, f: impl FnOnce(Planner<'_>) -> R) -> R {
+        let snapshot = self.live.snapshot();
+        f(Planner::for_shared_snapshot(&snapshot))
+    }
+
     /// Record one served request in the endpoint statistics; the single
     /// bookkeeping point shared by the parsed and parse-failure paths.
     fn record_request(&self, elapsed: Duration, is_text: bool, is_ask: bool, failed: bool) {
@@ -128,7 +125,8 @@ impl InProcessEndpoint {
     /// Evaluate a parsed query against the store, recording request stats.
     /// When `want_plan` is set the chosen physical plan's `EXPLAIN` summary
     /// is returned too (rendering it costs a little, so the untraced query
-    /// paths skip it).
+    /// paths skip it).  A `services` resolver lets SERVICE groups reach
+    /// sibling KGs; with one installed, unknown targets fail at plan time.
     ///
     /// Classification (text-search / ASK) is done on the AST instead of by
     /// substring inspection of the query text, and evaluation goes straight
@@ -137,44 +135,39 @@ impl InProcessEndpoint {
     fn execute_planned(
         &self,
         query: &Query,
+        services: Option<&dyn ServiceResolver>,
         want_plan: bool,
         deadline: Option<Instant>,
-    ) -> Result<(QueryResults, Option<PlanSummary>, ExecMetrics), EndpointError> {
+    ) -> Result<TracedQuery, EndpointError> {
         let start = Instant::now();
         if !self.latency.is_zero() {
             std::thread::sleep(self.latency);
         }
-        // Pin one epoch for the whole request: planning statistics and
-        // execution scans come from the same immutable snapshot, no matter
-        // how many epochs a concurrent writer publishes meanwhile.  The
-        // *shared* handle lets the plan run its driving scan as parallel
-        // morsels over that same pinned epoch.
-        let snapshot = self.live.snapshot();
-        let plan = Planner::for_shared_snapshot(&snapshot)
-            .with_parallelism(self.parallel)
-            .plan(query);
-        let outcome = plan
-            .execute_with(ExecOptions { deadline })
-            .map_err(EndpointError::from);
+        let outcome: Result<_, SparqlError> = self.with_pinned_planner(|planner| {
+            let plan = match services {
+                Some(services) => planner.with_services(services).plan_checked(query)?,
+                None => planner.plan(query),
+            };
+            let run = plan.execute_with(ExecOptions { deadline })?;
+            Ok(TracedQuery {
+                results: run.results,
+                plan: want_plan.then(|| plan.summary().clone()),
+                metrics: Some(run.metrics),
+            })
+        });
         let is_text = query
             .pattern
             .all_triple_patterns()
             .iter()
             .any(|tp| is_text_search_pattern(tp));
         self.record_request(start.elapsed(), is_text, query.is_ask(), outcome.is_err());
-        let run = outcome?;
-        let summary = want_plan.then(|| plan.summary().clone());
-        Ok((run.results, summary, run.metrics))
+        outcome.map_err(EndpointError::from)
     }
 
     /// The physical plan this endpoint's engine would choose for a query,
     /// without executing it — the `EXPLAIN` entry point.
     pub fn explain(&self, query: &Query) -> PlanSummary {
-        let snapshot = self.live.snapshot();
-        Planner::for_snapshot(&snapshot)
-            .plan(query)
-            .summary()
-            .clone()
+        self.with_pinned_planner(|planner| planner.plan(query).summary().clone())
     }
 
     /// Parse a SPARQL string and return its `EXPLAIN` plan.
@@ -196,8 +189,8 @@ impl SparqlEndpoint for InProcessEndpoint {
     fn query(&self, sparql: &str) -> Result<QueryResults, EndpointError> {
         match parse_query(sparql) {
             Ok(parsed) => self
-                .execute_planned(&parsed, false, None)
-                .map(|(results, _, _)| results),
+                .execute_planned(&parsed, None, false, None)
+                .map(|traced| traced.results),
             Err(err) => {
                 let start = Instant::now();
                 if !self.latency.is_zero() {
@@ -217,8 +210,8 @@ impl SparqlEndpoint for InProcessEndpoint {
     }
 
     fn query_parsed(&self, query: &Query) -> Result<QueryResults, EndpointError> {
-        self.execute_planned(query, false, None)
-            .map(|(results, _, _)| results)
+        self.execute_planned(query, None, false, None)
+            .map(|traced| traced.results)
     }
 
     fn query_traced(&self, query: &Query) -> Result<TracedQuery, EndpointError> {
@@ -230,12 +223,7 @@ impl SparqlEndpoint for InProcessEndpoint {
         query: &Query,
         deadline: Option<Instant>,
     ) -> Result<TracedQuery, EndpointError> {
-        let (results, plan, metrics) = self.execute_planned(query, true, deadline)?;
-        Ok(TracedQuery {
-            results,
-            plan,
-            metrics: Some(metrics),
-        })
+        self.execute_planned(query, None, true, deadline)
     }
 
     fn ingest(&self, batch: IngestBatch) -> Result<IngestReport, EndpointError> {
@@ -257,34 +245,7 @@ impl SparqlEndpoint for InProcessEndpoint {
         query: &Query,
         services: &dyn ServiceResolver,
     ) -> Result<TracedQuery, EndpointError> {
-        let start = Instant::now();
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-        // Same epoch-pinning contract as `execute_planned`, with the
-        // resolver installed so SERVICE groups can reach sibling KGs.
-        let snapshot = self.live.snapshot();
-        let planner = Planner::for_snapshot(&snapshot).with_services(services);
-        let is_text = query
-            .pattern
-            .all_triple_patterns()
-            .iter()
-            .any(|tp| is_text_search_pattern(tp));
-        let plan = match planner.plan_checked(query) {
-            Ok(plan) => plan,
-            Err(err) => {
-                self.record_request(start.elapsed(), is_text, query.is_ask(), true);
-                return Err(EndpointError::from(err));
-            }
-        };
-        let outcome = plan.execute().map_err(EndpointError::from);
-        self.record_request(start.elapsed(), is_text, query.is_ask(), outcome.is_err());
-        let run = outcome?;
-        Ok(TracedQuery {
-            results: run.results,
-            plan: Some(plan.summary().clone()),
-            metrics: Some(run.metrics),
-        })
+        self.execute_planned(query, Some(services), true, None)
     }
 
     fn stats(&self) -> RequestStats {
@@ -395,6 +356,29 @@ mod tests {
         // EXPLAIN does not execute: no request was recorded.
         assert_eq!(ep.stats().total_requests, 0);
         assert!(ep.explain_sparql("SELECT nonsense").is_err());
+    }
+
+    #[test]
+    fn explain_renders_the_plan_the_query_runs() {
+        // 100k matching triples put the driver estimate at 2 × the default
+        // `rows_per_worker`, so a multi-core machine partitions the scan.
+        let mut big = Store::new();
+        big.insert_all((0..100_000).map(|i| {
+            Triple::new(
+                Term::iri(format!("http://e/s{i}")),
+                Term::iri("http://e/p"),
+                Term::iri(format!("http://e/o{}", i % 97)),
+            )
+        }));
+        let ep = InProcessEndpoint::new("Big", big);
+        let query = parse_query("SELECT ?s ?o WHERE { ?s <http://e/p> ?o . } LIMIT 5000").unwrap();
+        let traced = ep.query_traced(&query).unwrap();
+        let ran = traced.plan.expect("in-process endpoint exposes its plan");
+        assert_eq!(ep.explain(&query), ran);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let partitioned = traced.metrics.expect("work counters").parallel.is_some();
+        assert_eq!(partitioned, cores > 1);
+        assert_eq!(ran.to_string().contains("parallel("), partitioned, "{ran}");
     }
 
     #[test]

@@ -123,8 +123,8 @@ pub trait SparqlEndpoint: Send + Sync {
     ///
     /// The default implementation ignores the deadline (a stock remote
     /// endpoint has no mid-query cancellation); [`InProcessEndpoint`]
-    /// overrides it — its executor checks the deadline per morsel on the
-    /// parallel path and every few hundred rows sequentially — and
+    /// overrides it — its executor checks the deadline every 256 rows of
+    /// each morsel and before claiming each morsel — and
     /// [`CachingEndpoint`] forwards to its inner endpoint.
     fn query_traced_within(
         &self,

@@ -43,6 +43,13 @@ use crate::http::{read_request, Limits, Request, Response};
 use crate::metrics::{Metrics, Route};
 use crate::wire;
 
+/// Stack of each connection-handler thread.  The SPARQL route parses,
+/// plans and runs queries on it, all recursing once per nesting level, and
+/// the parser accepts up to [`kgqan_sparql::parser::MAX_NESTING`] levels —
+/// more than a default 2 MiB thread stack holds.  Pages are committed only
+/// when touched, so ordinary requests pay nothing for the headroom.
+const HANDLER_STACK_BYTES: usize = 16 << 20;
+
 /// Everything tunable about the serving loop.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -133,6 +140,7 @@ pub fn serve(
         handlers.push(
             std::thread::Builder::new()
                 .name(format!("kgqan-http-{i}"))
+                .stack_size(HANDLER_STACK_BYTES)
                 .spawn(move || handler_loop(&shared, &rx))
                 .expect("spawn handler thread"),
         );

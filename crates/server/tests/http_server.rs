@@ -369,6 +369,46 @@ fn sparql_protocol_get_and_post() {
 }
 
 #[test]
+fn deeply_nested_sparql_is_a_400_and_the_server_stays_up() {
+    let service = two_kg_service(None);
+    let handle = start(service, test_config());
+    let mut client = HttpClient::connect(handle.addr());
+    let groups =
+        |depth: usize| format!("SELECT * WHERE {}{}", "{".repeat(depth), "}".repeat(depth));
+    let filter = |depth: usize| {
+        format!(
+            "SELECT * WHERE {{ ?s ?p ?o . FILTER {}?o{} }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    };
+
+    for query in [groups(10_000), filter(10_000)] {
+        let response = client
+            .post("/kg/DBpedia/sparql", "application/sparql-query", &query)
+            .expect("deep query gets a response");
+        assert_eq!(response.status, 400, "body: {}", response.text());
+        assert!(
+            response.text().contains("nests deeper"),
+            "{}",
+            response.text()
+        );
+        let health = client.get("/healthz").expect("server is still up");
+        assert_eq!(health.status, 200);
+    }
+
+    // Nesting within the limit still parses and runs.
+    let response = client
+        .post(
+            "/kg/DBpedia/sparql",
+            "application/sparql-query",
+            &groups(1_000),
+        )
+        .expect("depth-1000 query");
+    assert_eq!(response.status, 200, "body: {}", response.text());
+}
+
+#[test]
 fn ingest_publishes_new_triples_to_later_queries() {
     let service = two_kg_service(None);
     let handle = start(service, test_config());

@@ -37,6 +37,11 @@ pub enum SparqlError {
         /// Description of what went wrong.
         message: String,
     },
+    /// Groups and expressions nest deeper than the parser accepts.
+    NestingTooDeep {
+        /// The deepest nesting accepted ([`crate::parser::MAX_NESTING`]).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SparqlError {
@@ -58,6 +63,9 @@ impl fmt::Display for SparqlError {
             }
             SparqlError::Service { kg, message } => {
                 write!(f, "SERVICE <kg:{kg}> failed: {message}")
+            }
+            SparqlError::NestingTooDeep { limit } => {
+                write!(f, "query nests deeper than {limit} levels")
             }
         }
     }
@@ -103,5 +111,8 @@ mod tests {
         }
         .to_string()
         .contains("kg:Wikidata"));
+        assert!(SparqlError::NestingTooDeep { limit: 1024 }
+            .to_string()
+            .contains("1024 levels"));
     }
 }

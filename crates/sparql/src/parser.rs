@@ -6,6 +6,11 @@ use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, V
 use crate::error::SparqlError;
 use crate::lexer::{tokenize, DatatypeRef, Token};
 
+/// How deeply groups (`{ }`, OPTIONAL, UNION, SERVICE) and expressions may
+/// nest, together: the parser recurses once per level.  At the limit a
+/// parse needs about 2.5 MiB of stack in release builds, 10 MiB in debug.
+pub const MAX_NESTING: usize = 1_024;
+
 /// Parse a SPARQL query string into a [`Query`].
 pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
     let tokens = tokenize(input)?;
@@ -13,6 +18,7 @@ pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
         tokens,
         pos: 0,
         prefixes: Vec::new(),
+        depth: 0,
     };
     parser.parse()
 }
@@ -21,6 +27,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prefixes: Vec<(String, String)>,
+    /// Groups and expressions currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -141,6 +149,7 @@ impl Parser {
     /// Parse a `{ ... }` group: triple patterns, OPTIONAL groups, FILTER
     /// expressions and UNIONs, combined left-to-right.
     fn parse_group(&mut self) -> Result<GraphPattern, SparqlError> {
+        self.descend()?;
         self.expect(Token::LBrace)?;
         let mut current_bgp: Vec<TriplePatternAst> = Vec::new();
         let mut pattern: Option<GraphPattern> = None;
@@ -225,6 +234,7 @@ impl Parser {
         for f in filters {
             result = GraphPattern::Filter(Box::new(result), f);
         }
+        self.depth -= 1;
         Ok(result)
     }
 
@@ -317,13 +327,17 @@ impl Parser {
         self.parse_or_expression()
     }
 
+    /// Every nested expression (parenthesised, or a call argument) starts
+    /// here, so this and `!` are where expression nesting is counted.
     fn parse_or_expression(&mut self) -> Result<Expression, SparqlError> {
+        self.descend()?;
         let mut left = self.parse_and_expression()?;
         while matches!(self.peek(), Some(Token::Or)) {
             self.advance();
             let right = self.parse_and_expression()?;
             left = Expression::Or(Box::new(left), Box::new(right));
         }
+        self.depth -= 1;
         Ok(left)
     }
 
@@ -368,7 +382,9 @@ impl Parser {
         match self.peek() {
             Some(Token::Not) => {
                 self.advance();
+                self.descend()?;
                 let inner = self.parse_unary()?;
+                self.depth -= 1;
                 Ok(Expression::Not(Box::new(inner)))
             }
             Some(Token::LParen) => {
@@ -451,6 +467,16 @@ impl Parser {
     }
 
     // -- token plumbing -----------------------------------------------------
+
+    /// Open one nesting level; the caller closes it on success (a failed
+    /// parse is abandoned whole).
+    fn descend(&mut self) -> Result<(), SparqlError> {
+        if self.depth >= MAX_NESTING {
+            return Err(SparqlError::NestingTooDeep { limit: MAX_NESTING });
+        }
+        self.depth += 1;
+        Ok(())
+    }
 
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
@@ -671,6 +697,49 @@ mod tests {
             .as_literal()
             .unwrap()
             .is_boolean());
+    }
+
+    fn nested_groups(depth: usize) -> String {
+        format!("SELECT * WHERE {}{}", "{".repeat(depth), "}".repeat(depth))
+    }
+
+    fn nested_filter(depth: usize) -> String {
+        format!(
+            "SELECT * WHERE {{ ?s ?p ?o . FILTER {}?o{} }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        // Reaching the limit takes more stack than a default test thread
+        // has in debug builds (see `MAX_NESTING`).
+        std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(check_nesting_limit)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn check_nesting_limit() {
+        assert!(parse_query(&nested_groups(1_000)).is_ok());
+        assert!(parse_query(&nested_filter(1_000)).is_ok());
+        for query in [
+            nested_groups(10_000),
+            nested_filter(10_000),
+            format!(
+                "SELECT * WHERE {{ ?s ?p ?o . FILTER ({}?o) }}",
+                "!".repeat(10_000)
+            ),
+            format!("SELECT * WHERE {}", "{ ?s ?p ?o OPTIONAL ".repeat(10_000)),
+        ] {
+            assert_eq!(
+                parse_query(&query),
+                Err(SparqlError::NestingTooDeep { limit: MAX_NESTING })
+            );
+        }
     }
 
     #[test]

@@ -70,9 +70,9 @@ use crate::exec::{self, ExecutorPool};
 use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::eval::{
-    compile_triple_pattern, decode_row, effective_text_cap, eval_expression,
-    is_text_search_pattern, parse_text_query, term_truthiness, text_query_words,
-    CompiledTriplePattern, IdRow, Slot, VarRegistry,
+    compile_triple_pattern, effective_text_cap, eval_expression, is_text_search_pattern,
+    parse_text_query, term_truthiness, text_query_words, CompiledTriplePattern, IdRow, Slot,
+    VarRegistry,
 };
 use crate::results::{Binding, QueryResults, ResultSet};
 
@@ -89,8 +89,8 @@ pub struct ExecMetrics {
     /// results are a correct *prefix* of the full answer, not the full
     /// answer.
     pub deadline_exceeded: bool,
-    /// Set when the run used morsel-driven parallel execution; `None` for
-    /// the sequential fast path.
+    /// Set when the run's morsels were spread over the shared executor
+    /// pool; `None` when the plan ran as one morsel on the caller's thread.
     pub parallel: Option<ParallelMetrics>,
 }
 
@@ -112,9 +112,10 @@ pub struct ParallelMetrics {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
     /// Stop producing rows at this instant and return what has been
-    /// computed so far with [`ExecMetrics::deadline_exceeded`] set.
-    /// Parallel runs check the deadline at every morsel boundary; the
-    /// sequential path checks it every few hundred output rows.
+    /// computed so far with [`ExecMetrics::deadline_exceeded`] set.  Every
+    /// morsel checks the deadline every 256 rows it pulls; a parallel run
+    /// also checks it before claiming each morsel.  ASK queries ignore it:
+    /// a cut-short ASK could only answer a wrong `false`.
     pub deadline: Option<Instant>,
 }
 
@@ -125,8 +126,8 @@ pub struct ExecOptions {
 /// The degree of parallelism (DOP) is chosen from the planner's own
 /// cardinality estimate for the driver scan:
 /// `dop = clamp(estimate / rows_per_worker, 1, max_dop)` — a query whose
-/// driving scan is estimated under `2 × rows_per_worker` therefore keeps
-/// the sequential fast path untouched.
+/// driving scan is estimated under `2 × rows_per_worker` therefore runs as
+/// one unpartitioned morsel on the caller's thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
     /// Upper bound on workers per query (defaults to the machine's
@@ -137,7 +138,7 @@ pub struct ParallelConfig {
     /// Morsels per chosen worker: more morsels mean finer-grained work
     /// stealing (and deadline checks) at slightly more scheduling overhead.
     pub morsels_per_worker: usize,
-    /// `LIMIT`/`OFFSET` pages smaller than this stay sequential: a small
+    /// `LIMIT`/`OFFSET` pages smaller than this run as one morsel: a small
     /// page over a huge scan finishes faster by streaming and stopping
     /// early than by scanning every partition.
     pub min_page_rows: usize,
@@ -295,19 +296,13 @@ impl ForeignTerms {
         }
     }
 
-    /// Decode a projected id row, falling back to the plain local-only
-    /// decoder when no foreign terms were interned this run (every
-    /// non-federated query).
+    /// Decode a projected id row through the local dictionary or the
+    /// foreign table.
     fn decode_row(&self, store: &Store, variables: &[String], row: &IdRow) -> Binding {
-        if self.terms.borrow().is_empty() {
-            return decode_row(store, variables, row);
-        }
         let mut binding = Binding::new();
         for (name, id) in variables.iter().zip(row) {
-            if let Some(id) = id {
-                if let Some(term) = self.resolve(store, *id) {
-                    binding.set(name.clone(), term);
-                }
+            if let Some(term) = id.and_then(|id| self.resolve(store, id)) {
+                binding.set(name.clone(), term);
             }
         }
         binding
@@ -409,7 +404,7 @@ pub struct PhysicalPlan<'s> {
     /// `Arc` is what lets a parallel run hand `'static` morsel jobs to the
     /// shared executor pool without copying the store.
     shared: Option<Arc<StoreSnapshot>>,
-    /// Morsel-parallelism knobs; `None` plans always execute sequentially.
+    /// Morsel-parallelism knobs; `None` plans always run as one morsel.
     parallel: Option<ParallelConfig>,
     projection: Vec<String>,
     is_ask: bool,
@@ -487,8 +482,8 @@ impl<'s> Planner<'s> {
     ///
     /// Parallel execution additionally requires an *owned* snapshot handle
     /// — build the planner with [`Planner::for_shared_snapshot`]; on a
-    /// plain borrowed [`Store`] the configuration is inert and every run
-    /// stays sequential.
+    /// plain borrowed [`Store`] the configuration is inert and every run is
+    /// one morsel on the caller's thread.
     pub fn with_parallelism(mut self, config: ParallelConfig) -> Self {
         self.parallel = Some(config);
         self
@@ -536,13 +531,17 @@ impl<'s> Planner<'s> {
 
     /// Create a planner pinned to one epoch snapshot of a live store.
     ///
-    /// Functionally this is `Planner::new(&snapshot)` (the snapshot derefs
-    /// to its [`Store`]); it exists to make the epoch-consistency contract
-    /// explicit: the returned planner's cardinality estimates, the plans it
-    /// compiles, and the scans those plans run all observe the *same*
-    /// epoch, no matter how many ingest batches are published concurrently.
-    /// Snapshots carry pre-installed [`PlannerStats`], so construction does
-    /// no stats compute.
+    /// The planner's cardinality estimates, the plans it compiles, and the
+    /// scans those plans run all observe the *same* epoch, no matter how
+    /// many ingest batches are published concurrently.  Snapshots carry
+    /// pre-installed [`PlannerStats`], so construction does no stats
+    /// compute.
+    ///
+    /// The plans keep a clone of the `Arc`, which enables morsel-driven
+    /// parallel execution (with [`ParallelConfig::default`]; tune or
+    /// effectively disable it via [`Planner::with_parallelism`]): a
+    /// parallel run ships `'static` morsel jobs to the shared executor
+    /// pool, and every worker reads the pinned epoch.
     ///
     /// ```
     /// use kgqan_rdf::{IngestBatch, LiveStore, Store, Term, Triple};
@@ -558,23 +557,9 @@ impl<'s> Planner<'s> {
     ///
     /// let snapshot = live.snapshot();
     /// let query = parse_query("SELECT ?s WHERE { ?s <http://e/p> ?o }").unwrap();
-    /// let planner = Planner::for_snapshot(&snapshot);
+    /// let planner = Planner::for_shared_snapshot(&snapshot);
     /// assert_eq!(planner.plan(&query).execute().unwrap().results.rows().len(), 1);
     /// ```
-    pub fn for_snapshot(snapshot: &'s kgqan_rdf::StoreSnapshot) -> Self {
-        Planner::new(snapshot)
-    }
-
-    /// Like [`Planner::for_snapshot`], but from an *owned* snapshot handle,
-    /// which additionally enables morsel-driven parallel execution (with
-    /// [`ParallelConfig::default`]; tune or effectively disable it via
-    /// [`Planner::with_parallelism`]).
-    ///
-    /// The plans this planner compiles keep a clone of the `Arc`, so a
-    /// parallel run can ship `'static` morsel jobs to the shared executor
-    /// pool — every worker reads the *same pinned epoch* the plan was
-    /// costed against, however many ingest batches are published while the
-    /// query runs.
     pub fn for_shared_snapshot(snapshot: &'s Arc<StoreSnapshot>) -> Self {
         Planner {
             stats: snapshot.planner_stats(),
@@ -962,7 +947,7 @@ fn find_driver(node: &PlanNode) -> Option<&PlanStep> {
 
 /// Does any node of the tree call out to a remote KG?  SERVICE resolvers
 /// are borrowed (`&dyn`) and their term interner is single-threaded, so
-/// federated plans always take the sequential path.
+/// federated plans always run as one morsel on the caller's thread.
 fn plan_has_service(node: &PlanNode) -> bool {
     match node {
         PlanNode::Bgp { .. } => false,
@@ -992,25 +977,121 @@ struct ExecCtx<'a> {
     store: &'a Store,
     vars: &'a VarRegistry,
     text_cap: usize,
-    scanned: &'a Cell<u64>,
-    /// One lazily-filled match-set slot per constant-string text step of
-    /// the plan, shared across the whole run.
-    text_cache: &'a [OnceCell<TextMatches>],
+    run: &'a RunState,
     /// Resolver for SERVICE groups; `None` outside federated plans.
     services: Option<&'a dyn ServiceResolver>,
-    /// One lazily-filled remote-result slot per SERVICE group of the plan:
-    /// the remote query runs once per run, however many input rows the
-    /// pipeline pushes through the join.
-    service_cache: &'a [OnceCell<Result<Vec<ServiceRow>, SparqlError>>],
-    /// Run-scoped side dictionary for remote terms.
-    foreign: &'a ForeignTerms,
-    /// When set, this execution is one morsel of a parallel run: the
-    /// driver scan is clipped to this key range, every other operator runs
-    /// unchanged.  `None` on the sequential path.
+    /// The driver clip: when set, the driver scan is clipped to this
+    /// morsel's key range and every other operator runs unchanged.  `None`
+    /// runs the whole driver scan (the single morsel of an unpartitioned
+    /// run).
     morsel: Option<PartitionRange>,
 }
 
+/// The mutable state of one run (of one morsel, in a parallel run).
+struct RunState {
+    scanned: Cell<u64>,
+    /// One lazily-filled match-set slot per constant-string text step of
+    /// the plan, shared across the whole run.
+    text_cache: Vec<OnceCell<TextMatches>>,
+    /// One lazily-filled remote-result slot per SERVICE group of the plan:
+    /// the remote query runs once per run, however many input rows the
+    /// pipeline pushes through the join.
+    service_cache: Vec<OnceCell<Result<Vec<ServiceRow>, SparqlError>>>,
+    /// Run-scoped side dictionary for remote terms.
+    foreign: ForeignTerms,
+}
+
+impl RunState {
+    fn new(text_slots: usize, service_slots: usize) -> Self {
+        RunState {
+            scanned: Cell::new(0),
+            text_cache: (0..text_slots).map(|_| OnceCell::new()).collect(),
+            service_cache: (0..service_slots).map(|_| OnceCell::new()).collect(),
+            foreign: ForeignTerms::default(),
+        }
+    }
+
+    fn add_scanned(&self, rows: u64) {
+        self.scanned.set(self.scanned.get() + rows);
+    }
+}
+
+/// What the per-range evaluator keeps of the rows it pulls.
+struct RangeSpec {
+    /// Projection: variable slot per output column.
+    slots: Vec<Option<usize>>,
+    distinct: bool,
+    /// `offset + limit` when the query pages: no range can contribute more
+    /// than the whole page, so each stops pulling after this many (distinct,
+    /// when applicable) projected rows.
+    cap: Option<usize>,
+    deadline: Option<Instant>,
+}
+
+/// One evaluated range: its projected rows in scan order, the index entries
+/// it touched, and whether the deadline cut it short (its rows are then a
+/// prefix of the range's output).
+struct RangeOutput {
+    rows: Vec<IdRow>,
+    scanned: u64,
+    cut_short: bool,
+}
+
+/// A morsel's slot in the ordered merge: `None` when it never ran.
+type MorselOutput = Option<Result<RangeOutput, SparqlError>>;
+
 impl<'a> ExecCtx<'a> {
+    /// The per-range evaluator every run goes through: evaluate `root` with
+    /// the driver scan clipped to this context's morsel, keeping the
+    /// projected rows `spec` asks for.  The page cap is checked before every
+    /// pull, so a full page stops the scans.
+    fn eval_range(self, root: &'a PlanNode, spec: &RangeSpec) -> Result<RangeOutput, SparqlError> {
+        let seed: IdRow = vec![None; self.vars.len()];
+        let mut rows = self.eval_node(root, Box::new(std::iter::once(Ok(seed))));
+        // Range-local dedup is sound under a global cap: a row past a
+        // range's first `cap` distinct values has at least `cap` distinct
+        // predecessors in the concatenated stream, so it cannot be in the
+        // global first `cap` either.  (The merge dedups across ranges.)
+        let mut seen = spec.distinct.then(HashSet::new);
+        let mut out: Vec<IdRow> = Vec::new();
+        let mut cut_short = false;
+        let mut pulled: u64 = 0;
+        loop {
+            if spec.cap.is_some_and(|cap| out.len() >= cap) {
+                break;
+            }
+            // A clock read per row would dominate cheap scans, so the check
+            // runs every 256 pulls; the deadline-free path pays a branch.
+            if let Some(deadline) = spec.deadline {
+                if pulled.is_multiple_of(256) && Instant::now() >= deadline {
+                    cut_short = true;
+                    break;
+                }
+                pulled += 1;
+            }
+            let Some(res) = rows.next() else {
+                break;
+            };
+            let row = res?;
+            let projected: IdRow = spec
+                .slots
+                .iter()
+                .map(|slot| slot.and_then(|i| row[i]))
+                .collect();
+            if let Some(seen) = &mut seen {
+                if !seen.insert(projected.clone()) {
+                    continue;
+                }
+            }
+            out.push(projected);
+        }
+        Ok(RangeOutput {
+            rows: out,
+            scanned: self.run.scanned.get(),
+            cut_short,
+        })
+    }
+
     fn eval_node(self, node: &'a PlanNode, input: RowIter<'a>) -> RowIter<'a> {
         match node {
             PlanNode::Bgp {
@@ -1084,7 +1165,7 @@ impl<'a> ExecCtx<'a> {
                         Ok(row) => row,
                         Err(e) => return Box::new(std::iter::once(Err(e))),
                     };
-                    let remote = self.service_cache[cache_slot]
+                    let remote = self.run.service_cache[cache_slot]
                         .get_or_init(|| self.fetch_service(kg, query, binds));
                     match remote {
                         Err(e) => Box::new(std::iter::once(Err(e.clone()))),
@@ -1120,7 +1201,7 @@ impl<'a> ExecCtx<'a> {
         };
         let results = services.execute_service(kg, query)?;
         let rows = results.rows();
-        self.scanned.set(self.scanned.get() + rows.len() as u64);
+        self.run.add_scanned(rows.len() as u64);
         Ok(rows
             .iter()
             .map(|binding| {
@@ -1129,7 +1210,7 @@ impl<'a> ExecCtx<'a> {
                     .filter_map(|(var, slot)| {
                         binding
                             .get(var)
-                            .map(|term| (*slot, self.foreign.intern(self.store, term)))
+                            .map(|term| (*slot, self.run.foreign.intern(self.store, term)))
                     })
                     .collect()
             })
@@ -1169,7 +1250,7 @@ impl<'a> ExecCtx<'a> {
                     };
                     if let Some(words) = constant_words {
                         let matches =
-                            self.text_cache[cache_slot].get_or_init(|| self.search_text(words));
+                            self.run.text_cache[cache_slot].get_or_init(|| self.search_text(words));
                         return Box::new(
                             self.text_row_extensions(ast, row, matches)
                                 .into_iter()
@@ -1224,7 +1305,7 @@ impl<'a> ExecCtx<'a> {
             None => MorselScan::Full(self.store.scan(pattern)),
         };
         scan.filter_map(move |triple| {
-            self.scanned.set(self.scanned.get() + 1);
+            self.run.add_scanned(1);
             extend_row(&row, tp, triple)
         })
     }
@@ -1266,7 +1347,7 @@ impl<'a> ExecCtx<'a> {
                     for row in current {
                         match constant_words {
                             Some(words) => {
-                                let matches = self.text_cache[*cache_slot]
+                                let matches = self.run.text_cache[*cache_slot]
                                     .get_or_init(|| self.search_text(words));
                                 next.extend(self.text_row_extensions(&step.ast, row, matches));
                             }
@@ -1308,7 +1389,7 @@ impl<'a> ExecCtx<'a> {
             .store
             .text_index()
             .search_any(&word_refs, self.text_cap);
-        self.scanned.set(self.scanned.get() + matches.len() as u64);
+        self.run.add_scanned(matches.len() as u64);
         let literals = matches.iter().map(|m| m.literal).collect();
         TextMatches { matches, literals }
     }
@@ -1388,9 +1469,10 @@ struct TextMatches {
     literals: HashSet<TermId>,
 }
 
-/// The two shapes of the innermost scan loop: a full index scan, or one
-/// morsel of a partitioned driver scan.  An enum (rather than a boxed
-/// iterator) keeps the sequential fast path free of virtual dispatch.
+/// The two shapes of the innermost scan loop: a full index scan (every
+/// non-driver step, and the driver of an unpartitioned run) or the driver
+/// scan clipped to one morsel's key range.  An enum (rather than a boxed
+/// iterator) keeps the innermost loop free of virtual dispatch.
 enum MorselScan<A, B> {
     Full(A),
     Clipped(B),
@@ -1468,116 +1550,72 @@ impl<'s> PhysicalPlan<'s> {
     }
 
     /// [`PhysicalPlan::execute`] with per-run knobs (currently: a
-    /// deadline).  When the plan is parallel-eligible (see
-    /// [`ParallelConfig`]) the driving scan runs as morsels on the shared
-    /// [`ExecutorPool`]; results are byte-identical to the sequential path
-    /// whatever the worker interleaving, because morsel outputs are merged
-    /// in partition order before `DISTINCT`/`OFFSET`/`LIMIT` are applied.
+    /// deadline).
+    ///
+    /// Every run takes one path: its driver scan is split into morsels,
+    /// each evaluated by the same per-range evaluator, then one ordered
+    /// merge applies `DISTINCT`/`OFFSET`/`LIMIT` in partition order and the
+    /// page is decoded once.  A plan that is not parallel-eligible (see
+    /// [`ParallelConfig`]) is one unclipped morsel on the caller's thread,
+    /// streaming until its page is full; an eligible plan spreads its
+    /// morsels over the shared [`ExecutorPool`] with byte-identical results.
     pub fn execute_with(&self, opts: ExecOptions) -> Result<PlannedExecution, SparqlError> {
-        if let Some(decision) = self.parallel_decision() {
-            return self.execute_parallel(decision, opts);
-        }
-        self.execute_sequential(opts)
-    }
-
-    /// The sequential (single-thread, fully streaming) execution path.
-    fn execute_sequential(&self, opts: ExecOptions) -> Result<PlannedExecution, SparqlError> {
-        let scanned = Cell::new(0u64);
-        let text_cache: Vec<OnceCell<TextMatches>> =
-            (0..self.text_slots).map(|_| OnceCell::new()).collect();
-        let service_cache: Vec<OnceCell<Result<Vec<ServiceRow>, SparqlError>>> =
-            (0..self.service_slots).map(|_| OnceCell::new()).collect();
-        let foreign = ForeignTerms::default();
-        let ctx = ExecCtx {
-            store: self.store,
-            vars: &self.vars,
-            text_cap: self.text_cap,
-            scanned: &scanned,
-            text_cache: &text_cache,
-            services: self.services,
-            service_cache: &service_cache,
-            foreign: &foreign,
-            morsel: None,
+        // An ASK needs one row; an empty page needs none, whatever the offset.
+        let (offset, limit) = match self.limit {
+            _ if self.is_ask => (0, Some(1)),
+            Some(0) => (0, Some(0)),
+            limit => (self.offset, limit),
         };
-        let seed: IdRow = vec![None; self.vars.len()];
-        let mut rows = ctx.eval_node(&self.root, Box::new(std::iter::once(Ok(seed))));
+        let spec = RangeSpec {
+            slots: self.projection.iter().map(|v| self.vars.id_of(v)).collect(),
+            distinct: self.distinct,
+            cap: limit.map(|limit| offset.saturating_add(limit)),
+            deadline: opts.deadline.filter(|_| !self.is_ask),
+        };
+        let run = RunState::new(self.text_slots, self.service_slots);
+        let (outputs, parallel) = match self.parallel_decision() {
+            Some(decision) => self.run_morsels(decision, spec),
+            None => {
+                let ctx = ExecCtx {
+                    store: self.store,
+                    vars: &self.vars,
+                    text_cap: self.text_cap,
+                    run: &run,
+                    services: self.services,
+                    morsel: None,
+                };
+                (vec![Some(ctx.eval_range(&self.root, &spec))], None)
+            }
+        };
+        let rows_scanned = outputs.iter().flatten().flatten().map(|o| o.scanned).sum();
+        let (id_rows, deadline_exceeded) =
+            merge_in_order(outputs.into_iter(), self.distinct, offset, limit)?;
 
-        if self.is_ask {
-            let verdict = match rows.next() {
-                None => false,
-                Some(Err(e)) => return Err(e),
-                Some(Ok(_)) => true,
-            };
-            drop(rows);
-            return Ok(PlannedExecution {
-                results: QueryResults::Boolean(verdict),
-                metrics: ExecMetrics {
-                    rows_scanned: scanned.get(),
-                    rows_emitted: u64::from(verdict),
-                    ..ExecMetrics::default()
-                },
-            });
-        }
-
-        let slots: Vec<Option<usize>> =
-            self.projection.iter().map(|v| self.vars.id_of(v)).collect();
-        let mut seen = self.distinct.then(HashSet::new);
-        let mut to_skip = self.offset;
-        let mut id_rows: Vec<IdRow> = Vec::new();
-        let mut deadline_exceeded = false;
-        let mut pulled: u64 = 0;
-        loop {
-            if self.limit.is_some_and(|limit| id_rows.len() >= limit) {
-                break;
-            }
-            // Deadline checks cost a clock read, so amortize them; the
-            // default (deadline-free) path pays only a branch.
-            if let Some(deadline) = opts.deadline {
-                if pulled.is_multiple_of(256) && Instant::now() >= deadline {
-                    deadline_exceeded = true;
-                    break;
-                }
-                pulled += 1;
-            }
-            let Some(res) = rows.next() else {
-                break;
-            };
-            let row = res?;
-            let projected: IdRow = slots.iter().map(|slot| slot.and_then(|i| row[i])).collect();
-            if let Some(seen) = &mut seen {
-                if !seen.insert(projected.clone()) {
-                    continue;
-                }
-            }
-            if to_skip > 0 {
-                to_skip -= 1;
-                continue;
-            }
-            id_rows.push(projected);
-        }
-        drop(rows);
-
-        let bindings: Vec<Binding> = id_rows
-            .iter()
-            .map(|row| foreign.decode_row(self.store, &self.projection, row))
-            .collect();
-        let metrics = ExecMetrics {
-            rows_scanned: scanned.get(),
-            rows_emitted: bindings.len() as u64,
-            deadline_exceeded,
-            parallel: None,
+        let results = if self.is_ask {
+            QueryResults::Boolean(!id_rows.is_empty())
+        } else {
+            let bindings = id_rows
+                .iter()
+                .map(|row| run.foreign.decode_row(self.store, &self.projection, row))
+                .collect();
+            QueryResults::Solutions(ResultSet::new(self.projection.clone(), bindings))
         };
         Ok(PlannedExecution {
-            results: QueryResults::Solutions(ResultSet::new(self.projection.clone(), bindings)),
-            metrics,
+            results,
+            metrics: ExecMetrics {
+                rows_scanned,
+                rows_emitted: id_rows.len() as u64,
+                deadline_exceeded,
+                parallel,
+            },
         })
     }
 
     /// Decide whether (and how) this plan runs in parallel.  Returns `None`
-    /// — the sequential fast path — unless *all* of the following hold: a
-    /// parallelism config and an owned snapshot are installed, the query is
-    /// not an ASK and touches no SERVICE group, a driver scan exists, its
-    /// cardinality estimate asks for at least two workers, any
+    /// (one unclipped morsel on the caller's thread) unless *all* of these
+    /// hold: a parallelism config and an owned snapshot are installed, the
+    /// query is not an ASK and touches no SERVICE group, a driver scan
+    /// exists, its cardinality estimate asks for at least two workers, any
     /// `LIMIT`/`OFFSET` page is big enough to be worth full scans, and the
     /// driver actually splits into more than one partition.
     fn parallel_decision(&self) -> Option<ParallelDecision> {
@@ -1620,37 +1658,30 @@ impl<'s> PhysicalPlan<'s> {
         Some(ParallelDecision { dop, ranges })
     }
 
-    /// The morsel-parallel execution path.
+    /// Run a partitioned plan's morsels on the shared pool.
     ///
     /// The coordinating thread submits up to `dop - 1` helper jobs to the
     /// shared pool and then drains morsels itself, so the run makes
     /// progress even when the pool has no free slot (saturation degrades
-    /// parallelism, never correctness).  Each worker claims morsels from a
-    /// shared counter — partition order — and materialises its morsel's
-    /// projected rows; the coordinator concatenates the outputs *in
-    /// partition order* and only then applies `DISTINCT`/`OFFSET`/`LIMIT`,
-    /// which is what makes the result byte-identical to the sequential
-    /// path regardless of thread interleaving.
-    fn execute_parallel(
+    /// parallelism, never correctness).  Workers claim morsels from a
+    /// shared counter — partition order — and each morsel's output lands in
+    /// its own slot, returned in partition order.
+    fn run_morsels(
         &self,
         decision: ParallelDecision,
-        opts: ExecOptions,
-    ) -> Result<PlannedExecution, SparqlError> {
-        let snapshot = Arc::clone(self.shared.as_ref().expect("checked by parallel_decision"));
+        spec: RangeSpec,
+    ) -> (Vec<MorselOutput>, Option<ParallelMetrics>) {
         let morsels = decision.ranges.len();
         let state = Arc::new(MorselRun {
-            snapshot,
+            snapshot: Arc::clone(self.shared.as_ref().expect("checked by parallel_decision")),
             root: Arc::clone(&self.root),
             vars: Arc::clone(&self.vars),
             text_cap: self.text_cap,
             text_slots: self.text_slots,
-            slots: self.projection.iter().map(|v| self.vars.id_of(v)).collect(),
-            distinct: self.distinct,
-            cap: self.limit.map(|limit| self.offset.saturating_add(limit)),
+            spec,
             ranges: decision.ranges,
             next: AtomicUsize::new(0),
             outputs: (0..morsels).map(|_| Mutex::new(None)).collect(),
-            deadline: opts.deadline,
             expired: AtomicBool::new(false),
         });
         exec::record_parallel_query();
@@ -1679,62 +1710,21 @@ impl<'s> PhysicalPlan<'s> {
             for index in 0..morsels {
                 let missing = state.lock_output(index).is_none();
                 if missing {
-                    let (result, scanned) = state.run_morsel(index);
-                    rows_scanned_per_worker[0] += scanned;
-                    *state.lock_output(index) = Some(result);
+                    let output = state.run_morsel(index);
+                    rows_scanned_per_worker[0] += output.as_ref().map_or(0, |o| o.scanned);
+                    *state.lock_output(index) = Some(output);
                 }
             }
         }
-
-        // Merge in partition order; holes (all deadline-induced, and always
-        // a suffix because workers claim indices monotonically) end the
-        // prefix that gets returned.
-        let mut seen = self.distinct.then(HashSet::new);
-        let mut to_skip = self.offset;
-        let mut id_rows: Vec<IdRow> = Vec::new();
-        let mut deadline_exceeded = false;
-        let mut completed = 0usize;
-        'merge: for index in 0..morsels {
-            let Some(result) = state.lock_output(index).take() else {
-                deadline_exceeded = true;
-                break;
-            };
-            completed += 1;
-            for projected in result? {
-                if let Some(seen) = &mut seen {
-                    if !seen.insert(projected.clone()) {
-                        continue;
-                    }
-                }
-                if to_skip > 0 {
-                    to_skip -= 1;
-                    continue;
-                }
-                id_rows.push(projected);
-                if self.limit.is_some_and(|limit| id_rows.len() >= limit) {
-                    break 'merge;
-                }
-            }
-        }
-
-        let bindings: Vec<Binding> = id_rows
-            .iter()
-            .map(|row| decode_row(self.store, &self.projection, row))
+        let outputs = (0..morsels)
+            .map(|index| state.lock_output(index).take())
             .collect();
-        let metrics = ExecMetrics {
-            rows_scanned: rows_scanned_per_worker.iter().sum(),
-            rows_emitted: bindings.len() as u64,
-            deadline_exceeded,
-            parallel: Some(ParallelMetrics {
-                dop: rows_scanned_per_worker.len(),
-                morsels: completed,
-                rows_scanned_per_worker,
-            }),
+        let metrics = ParallelMetrics {
+            dop: rows_scanned_per_worker.len(),
+            morsels,
+            rows_scanned_per_worker,
         };
-        Ok(PlannedExecution {
-            results: QueryResults::Solutions(ResultSet::new(self.projection.clone(), bindings)),
-            metrics,
-        })
+        (outputs, Some(metrics))
     }
 
     /// Flatten the operator tree into the rendered summary.
@@ -1780,33 +1770,64 @@ struct ParallelDecision {
     ranges: Vec<PartitionRange>,
 }
 
-/// One morsel's output slot: the projected id-rows it produced, or the
-/// first error its plan tail hit.
-type MorselOutput = Option<Result<Vec<IdRow>, SparqlError>>;
+/// The one ordered merge: walk the range outputs in partition order and
+/// apply `DISTINCT`, then `OFFSET`, then `LIMIT`, which caps what each range
+/// may add.  The walk ends at the first missing range, or after the rows of
+/// the first cut-short one, and then reports the page as deadline-cut.
+fn merge_in_order(
+    outputs: impl ExactSizeIterator<Item = MorselOutput>,
+    distinct: bool,
+    offset: usize,
+    limit: Option<usize>,
+) -> Result<(Vec<IdRow>, bool), SparqlError> {
+    // A single range was already deduplicated by its evaluator.
+    let mut seen = (distinct && outputs.len() > 1).then(HashSet::new);
+    let mut to_skip = offset;
+    let mut rows: Vec<IdRow> = Vec::new();
+    for output in outputs {
+        let room = limit.map_or(usize::MAX, |limit| limit - rows.len());
+        if room == 0 {
+            break;
+        }
+        let Some(output) = output else {
+            return Ok((rows, true));
+        };
+        let mut output = output?;
+        if let Some(seen) = &mut seen {
+            output.rows.retain(|row| seen.insert(row.clone()));
+        }
+        let skipped = to_skip.min(output.rows.len());
+        to_skip -= skipped;
+        output.rows.drain(..skipped);
+        output.rows.truncate(room);
+        if rows.is_empty() {
+            rows = output.rows;
+        } else {
+            rows.append(&mut output.rows);
+        }
+        if output.cut_short {
+            let cut = limit.is_none_or(|limit| rows.len() < limit);
+            return Ok((rows, cut));
+        }
+    }
+    Ok((rows, false))
+}
 
-/// The shared state of one morsel-parallel run.  Everything is owned
+/// The `'static` state of one morsel-parallel run.  Everything is owned
 /// (`Arc`s into the pinned snapshot and the plan tree), so the same value
-/// serves the coordinating thread and the `'static` helper jobs on the
-/// executor pool.
+/// serves the coordinating thread and the helper jobs on the executor pool.
 struct MorselRun {
     snapshot: Arc<StoreSnapshot>,
     root: Arc<PlanNode>,
     vars: Arc<VarRegistry>,
     text_cap: usize,
     text_slots: usize,
-    /// Projection: variable slot per output column.
-    slots: Vec<Option<usize>>,
-    distinct: bool,
-    /// `offset + limit` when the query pages: no morsel can contribute more
-    /// than the whole page, so each stops after this many (distinct,
-    /// when applicable) projected rows.
-    cap: Option<usize>,
+    spec: RangeSpec,
     ranges: Vec<PartitionRange>,
     /// Next unclaimed morsel index — the work-stealing cursor.
     next: AtomicUsize,
     /// One slot per morsel, written by whichever worker ran it.
     outputs: Vec<Mutex<MorselOutput>>,
-    deadline: Option<Instant>,
     /// Latched once any worker observes the deadline passed; stops all
     /// further morsel claims.
     expired: AtomicBool,
@@ -1821,7 +1842,7 @@ impl MorselRun {
 
     /// The deadline check every worker runs *between* morsels.
     fn expired_now(&self) -> bool {
-        let Some(deadline) = self.deadline else {
+        let Some(deadline) = self.spec.deadline else {
             return false;
         };
         if self.expired.load(Ordering::Relaxed) {
@@ -1846,64 +1867,29 @@ impl MorselRun {
             if index >= self.ranges.len() {
                 break;
             }
-            let (result, morsel_scanned) = self.run_morsel(index);
-            scanned += morsel_scanned;
-            *self.lock_output(index) = Some(result);
+            let output = self.run_morsel(index);
+            scanned += output.as_ref().map_or(0, |o| o.scanned);
+            if matches!(&output, Ok(output) if output.cut_short) {
+                self.expired.store(true, Ordering::Relaxed);
+            }
+            *self.lock_output(index) = Some(output);
         }
         scanned
     }
 
-    /// Evaluate the whole operator tree with the driver scan clipped to one
-    /// morsel's key range, materialising the morsel's projected rows.
-    fn run_morsel(&self, index: usize) -> (Result<Vec<IdRow>, SparqlError>, u64) {
-        let scanned = Cell::new(0u64);
-        let text_cache: Vec<OnceCell<TextMatches>> =
-            (0..self.text_slots).map(|_| OnceCell::new()).collect();
-        // Parallel-eligible plans never contain SERVICE groups.
-        let service_cache: Vec<OnceCell<Result<Vec<ServiceRow>, SparqlError>>> = Vec::new();
-        let foreign = ForeignTerms::default();
+    /// Evaluate one morsel on the calling thread.  Parallel-eligible plans
+    /// never contain SERVICE groups, so the morsel needs no resolver.
+    fn run_morsel(&self, index: usize) -> Result<RangeOutput, SparqlError> {
+        let run = RunState::new(self.text_slots, 0);
         let ctx = ExecCtx {
             store: &self.snapshot,
             vars: &self.vars,
             text_cap: self.text_cap,
-            scanned: &scanned,
-            text_cache: &text_cache,
+            run: &run,
             services: None,
-            service_cache: &service_cache,
-            foreign: &foreign,
             morsel: Some(self.ranges[index]),
         };
-        let seed: IdRow = vec![None; self.vars.len()];
-        let rows = ctx.eval_node(&self.root, Box::new(std::iter::once(Ok(seed))));
-
-        let mut out: Vec<IdRow> = Vec::new();
-        // Morsel-local dedup is sound under a global cap: a row past a
-        // morsel's first `cap` distinct values has at least `cap` distinct
-        // predecessors in the concatenated stream, so it cannot be in the
-        // global first `cap` either.  (The coordinator dedups across
-        // morsels again.)
-        let mut seen = self.distinct.then(HashSet::new);
-        for res in rows {
-            let row = match res {
-                Ok(row) => row,
-                Err(e) => return (Err(e), scanned.get()),
-            };
-            let projected: IdRow = self
-                .slots
-                .iter()
-                .map(|slot| slot.and_then(|i| row[i]))
-                .collect();
-            if let Some(seen) = &mut seen {
-                if !seen.insert(projected.clone()) {
-                    continue;
-                }
-            }
-            out.push(projected);
-            if self.cap.is_some_and(|cap| out.len() >= cap) {
-                break;
-            }
-        }
-        (Ok(out), scanned.get())
+        ctx.eval_range(&self.root, &self.spec)
     }
 }
 
@@ -2309,10 +2295,7 @@ mod tests {
              ?p <http://www.w3.org/2000/01/rdf-schema#label> ?n . }",
         )
         .unwrap();
-        let sequential = Planner::for_snapshot(&snapshot)
-            .plan(&query)
-            .execute()
-            .unwrap();
+        let sequential = Planner::new(&snapshot).plan(&query).execute().unwrap();
         assert!(sequential.metrics.parallel.is_none());
 
         let plan = Planner::for_shared_snapshot(&snapshot)
@@ -2327,6 +2310,65 @@ mod tests {
             parallel.metrics.rows_scanned
         );
         assert!(!parallel.metrics.deadline_exceeded);
+    }
+
+    #[test]
+    fn limit_zero_returns_no_rows_at_any_dop() {
+        // 64 triples: 16 subjects with 4 objects each under one predicate.
+        let mut store = Store::new();
+        for i in 0..64 {
+            store.insert(Triple::new(
+                Term::iri(format!("http://e/s{}", i / 4)),
+                Term::iri("http://e/p"),
+                Term::iri(format!("http://e/o{}", i % 4)),
+            ));
+        }
+        let snapshot = LiveStore::new(store).snapshot();
+        let config = ParallelConfig {
+            max_dop: 4,
+            rows_per_worker: 1.0,
+            morsels_per_worker: 2,
+            min_page_rows: 0,
+        };
+        for sparql in [
+            "SELECT * WHERE { ?s ?p ?o . } LIMIT 0",
+            "SELECT * WHERE { ?s ?p ?o . } LIMIT 0 OFFSET 3",
+        ] {
+            let query = parse_query(sparql).unwrap();
+            let run = |max_dop| {
+                Planner::for_shared_snapshot(&snapshot)
+                    .with_parallelism(ParallelConfig { max_dop, ..config })
+                    .plan(&query)
+                    .execute()
+                    .unwrap()
+            };
+            let single = run(1);
+            assert!(single.metrics.parallel.is_none(), "{sparql}");
+            assert!(single.results.rows().is_empty(), "{sparql}");
+            assert_eq!(single.metrics.rows_scanned, 0, "{sparql}");
+            let partitioned = run(4);
+            assert!(partitioned.metrics.parallel.is_some(), "{sparql}");
+            assert_eq!(partitioned.results, single.results, "{sparql}");
+        }
+    }
+
+    #[test]
+    fn parallel_metrics_report_every_partition_even_when_limit_stops_the_merge() {
+        let snapshot = skewed_live();
+        let query =
+            parse_query("SELECT ?p ?c WHERE { ?p <http://e/bornIn> ?c . } LIMIT 1").unwrap();
+        let plan = Planner::for_shared_snapshot(&snapshot)
+            .with_parallelism(eager_parallel())
+            .plan(&query);
+        let run = plan.execute().unwrap();
+        assert_eq!(run.results.rows().len(), 1);
+        let info = run.metrics.parallel.as_ref().expect("ran parallel");
+        let partitions = format!("partition ({} morsels)", info.morsels);
+        assert!(
+            plan.summary().to_string().contains(&partitions),
+            "{info:?}\n{}",
+            plan.summary()
+        );
     }
 
     #[test]

@@ -65,7 +65,10 @@ proptest! {
                         assert_eq!(snap.len() as u64, 2 * epoch);
                         // Consistency: planning and execution against the
                         // pinned snapshot see the same epoch end to end.
-                        let run = Planner::for_snapshot(&snap).plan(join).execute().unwrap();
+                        let run = Planner::for_shared_snapshot(&snap)
+                            .plan(join)
+                            .execute()
+                            .unwrap();
                         let rows = run.results.rows();
                         assert_eq!(rows.len() as u64, epoch);
                         for k in 0..epoch as usize {
