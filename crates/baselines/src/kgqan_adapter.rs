@@ -2,19 +2,21 @@
 //! the harness can evaluate it side by side with the baselines, plus the
 //! adapters between the harness and KGQAn's staged pipeline API:
 //!
+//! * [`PipelineSystem`] wraps any composed [`Pipeline`] as a [`QaSystem`];
+//!   [`KgqanSystem`] is the same type, built over KGQAn's own pipeline
+//!   ([`Pipeline::kgqan`]), so the intact system and mixed pipelines run
+//!   through one adapter,
 //! * [`RuleBasedUnderstand`] implements the [`Understand`] stage trait with
 //!   the baselines' curated-rule question decomposition, so a
 //!   [`Pipeline`] can swap KGQAn's learned understanding for the
-//!   gAnswer/EDGQA-style parser while keeping JIT linking and execution,
-//! * [`PipelineSystem`] wraps any composed [`Pipeline`] as a [`QaSystem`],
-//!   so mixed pipelines run in the harness side by side with the intact
-//!   systems.
+//!   gAnswer/EDGQA-style parser while keeping JIT linking and execution.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use kgqan::pipeline::{Pipeline, StageContext, Understand};
 use kgqan::{
-    Budget, KgqanConfig, KgqanError, KgqanPlatform, PhraseGraphPattern, QuestionUnderstanding,
+    Budget, KgqanConfig, KgqanError, PhraseGraphPattern, QuestionUnderstanding, SemanticAffinity,
     Understanding,
 };
 use kgqan_endpoint::SparqlEndpoint;
@@ -23,85 +25,10 @@ use kgqan_nlp::{AnswerDataType, AnswerTypePrediction, PhraseNode, PhraseTriplePa
 use crate::rules::parse_with_rules;
 use crate::{PreprocessingStats, QaSystem, SystemResponse};
 
-/// KGQAn wrapped as a [`QaSystem`].
-pub struct KgqanSystem {
-    platform: KgqanPlatform,
-    name: String,
-}
-
-impl KgqanSystem {
-    /// Build with the default configuration (trains the QU models once).
-    pub fn new() -> Self {
-        Self::with_config(KgqanConfig::default())
-    }
-
-    /// Build with a custom configuration.
-    pub fn with_config(config: KgqanConfig) -> Self {
-        KgqanSystem {
-            platform: KgqanPlatform::with_config(config),
-            name: "KGQAn".to_string(),
-        }
-    }
-
-    /// Build from an already-trained question-understanding component
-    /// (lets the harness train once and evaluate many configurations).
-    pub fn with_parts(understanding: QuestionUnderstanding, config: KgqanConfig) -> Self {
-        KgqanSystem {
-            platform: KgqanPlatform::with_parts(understanding, config),
-            name: "KGQAn".to_string(),
-        }
-    }
-
-    /// Override the display name (used by the Table 4 harness to label
-    /// configuration variants).
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Access the wrapped platform.
-    pub fn platform(&self) -> &KgqanPlatform {
-        &self.platform
-    }
-}
-
-impl Default for KgqanSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QaSystem for KgqanSystem {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn preprocess(&mut self, _endpoint: &dyn SparqlEndpoint) -> PreprocessingStats {
-        // KGQAn's defining property: no per-KG pre-processing at all.
-        PreprocessingStats::default()
-    }
-
-    fn answer(&self, question: &str, endpoint: &dyn SparqlEndpoint) -> SystemResponse {
-        let start = Instant::now();
-        match self.platform.answer(question, endpoint) {
-            Ok(outcome) => SystemResponse {
-                answers: outcome.answers.clone(),
-                boolean: outcome.boolean,
-                understanding_ok: !outcome.understanding.pgp.is_empty(),
-                phase_seconds: (
-                    outcome.timings.understanding.as_secs_f64(),
-                    outcome.timings.linking.as_secs_f64(),
-                    outcome.timings.execution_filtration.as_secs_f64(),
-                ),
-            },
-            Err(_) => SystemResponse {
-                understanding_ok: false,
-                phase_seconds: (start.elapsed().as_secs_f64(), 0.0, 0.0),
-                ..Default::default()
-            },
-        }
-    }
-}
+/// KGQAn as a [`QaSystem`]: a [`PipelineSystem`] over [`Pipeline::kgqan`],
+/// built with [`PipelineSystem::new`], [`PipelineSystem::with_config`] or
+/// [`PipelineSystem::with_parts`].
+pub type KgqanSystem = PipelineSystem;
 
 /// The baselines' rule-based question decomposition as an [`Understand`]
 /// stage: capitalised-span entity extraction, a curated relation-phrase
@@ -167,8 +94,8 @@ impl Understand for RuleBasedUnderstand {
 }
 
 /// Any composed staged [`Pipeline`] exposed as a [`QaSystem`], so the
-/// harness evaluates mixed pipelines (e.g. rule-based understanding + JIT
-/// linking) side by side with the intact systems.
+/// harness evaluates KGQAn and mixed pipelines (e.g. rule-based
+/// understanding + JIT linking) side by side with the baseline systems.
 pub struct PipelineSystem {
     pipeline: Pipeline,
     config: KgqanConfig,
@@ -176,24 +103,54 @@ pub struct PipelineSystem {
 }
 
 impl PipelineSystem {
-    /// Wrap a pipeline under a display name.
-    pub fn new(name: impl Into<String>, pipeline: Pipeline) -> Self {
+    /// Wrap a composed pipeline under a display name; its stage contexts
+    /// run with `config`.
+    pub fn from_pipeline(name: impl Into<String>, pipeline: Pipeline, config: KgqanConfig) -> Self {
         PipelineSystem {
             pipeline,
-            config: KgqanConfig::default(),
+            config,
             name: name.into(),
         }
     }
 
-    /// Use a custom configuration for the stage contexts.
-    pub fn with_config(mut self, config: KgqanConfig) -> Self {
-        self.config = config;
+    /// KGQAn with the default configuration (trains the QU models once).
+    pub fn new() -> Self {
+        Self::with_config(KgqanConfig::default())
+    }
+
+    /// KGQAn with a custom configuration; the QU models are trained for
+    /// the configuration's Seq2Seq variant.
+    pub fn with_config(config: KgqanConfig) -> Self {
+        Self::with_parts(
+            QuestionUnderstanding::train_with_variant(config.seq2seq),
+            config,
+        )
+    }
+
+    /// KGQAn from an already-trained question-understanding component
+    /// (lets the harness train once and evaluate many configurations).
+    pub fn with_parts(understanding: QuestionUnderstanding, config: KgqanConfig) -> Self {
+        let affinity: Arc<dyn SemanticAffinity> = Arc::from(config.affinity.build());
+        let pipeline = Pipeline::kgqan(Arc::new(understanding), affinity);
+        Self::from_pipeline("KGQAn", pipeline, config)
+    }
+
+    /// Override the display name (used by the Table 4 harness to label
+    /// configuration variants).
+    pub fn named(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
         self
     }
 
     /// The wrapped pipeline.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
+    }
+}
+
+impl Default for PipelineSystem {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -295,7 +252,7 @@ mod tests {
             Arc::from(kgqan::AffinityModel::FineGrained.build());
         let mixed = Pipeline::kgqan(Arc::new(QuestionUnderstanding::train_default()), affinity)
             .with_understand(Arc::new(RuleBasedUnderstand::default()));
-        let mut sys = PipelineSystem::new("rules+JIT", mixed);
+        let mut sys = PipelineSystem::from_pipeline("rules+JIT", mixed, KgqanConfig::default());
         assert_eq!(sys.name(), "rules+JIT");
         assert_eq!(sys.preprocess(&ep).indexed_items, 0);
 

@@ -42,8 +42,9 @@ fn qa_service(c: &mut Criterion) {
     let (service, requests) = service_workload(Duration::ZERO);
     // A "remote" KG: every endpoint round-trip pays an injected latency, so
     // batching hides round-trips behind each other instead of serialising
-    // them (this is where `answer_batch` earns its thread pool; on an
-    // in-memory KG the per-request work is too small to amortise spawns).
+    // them (this is where `answer_batch` earns its worker pool; on an
+    // in-memory KG the per-request work is too small to amortise the
+    // hand-off to the workers).
     let (slow_service, slow_requests) = service_workload(Duration::from_micros(500));
 
     let mut group = c.benchmark_group("kgqan_service");

@@ -27,16 +27,16 @@
 //! flowing between them, so alternative stage implementations plug into the
 //! same [`pipeline::Pipeline`] composer.
 //!
-//! The serving entry point is [`service::QaService`] — one trained instance
+//! The one entry point is [`service::QaService`] — one trained instance
 //! (models behind `Arc`s) answering concurrently against any number of
-//! registered KGs, with per-request config overrides, deadlines, batching,
-//! per-stage traces ([`service::QaService::answer_traced`]) and a
-//! cross-request, KG-scoped semantic [`cache`] in front of the registered
-//! endpoints.  [`KgqanPlatform`] is the classic single-shot wrapper over it:
+//! registered KGs, with per-request config overrides, deadlines, batching
+//! on its own worker pool, per-stage traces
+//! ([`service::QaService::answer_traced`]) and a cross-request, KG-scoped
+//! semantic [`cache`] in front of the registered endpoints:
 //!
 //! ```
 //! use std::sync::Arc;
-//! use kgqan::{KgqanConfig, KgqanPlatform};
+//! use kgqan::{AnswerRequest, QaService};
 //! use kgqan_endpoint::InProcessEndpoint;
 //! use kgqan_rdf::{Store, Term, Triple, vocab};
 //!
@@ -51,10 +51,13 @@
 //! store.insert(Triple::new(obama, Term::iri("http://dbpedia.org/ontology/spouse"),
 //!                          michelle));
 //!
-//! let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", store));
-//! let platform = KgqanPlatform::with_config(KgqanConfig::default());
-//! let outcome = platform.answer("Who is the wife of Barack Obama?", endpoint.as_ref()).unwrap();
-//! assert!(outcome
+//! let service = QaService::builder()
+//!     .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", store)))
+//!     .build()
+//!     .unwrap();
+//! let response = service.answer(AnswerRequest::new("Who is the wife of Barack Obama?")).unwrap();
+//! assert!(response
+//!     .outcome
 //!     .answers
 //!     .iter()
 //!     .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")));
@@ -90,7 +93,7 @@ pub use pipeline::{
     Execute, Filter, FilteredAnswers, Link, LinkedQuestion, Pipeline, PipelineTrace, StageContext,
     StageTimings, Understand,
 };
-pub use platform::{AnswerOutcome, KgqanConfig, KgqanPlatform, PhaseTimings};
+pub use platform::{AnswerOutcome, KgqanConfig};
 // The worker pool moved next to its heaviest user, the morsel-parallel
 // query executor in `kgqan-sparql`; re-export it so `kgqan::pool` and the
 // `kgqan::{PoolConfig, …, WorkerPool}` paths keep working.

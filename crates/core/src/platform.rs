@@ -1,45 +1,19 @@
-//! The end-to-end KGQAn platform (Figure 4): question in, answers out,
-//! with per-phase timings for the Figure 7 experiment.
+//! KGQAn's configuration and the outcome of one answered question.
 //!
-//! [`KgqanPlatform`] is the classic single-shot API — borrow an endpoint,
-//! answer one question — kept as a thin compatibility wrapper over the
-//! concurrent serving layer in [`crate::service`], which in turn runs the
-//! staged [`crate::pipeline::Pipeline`].  New code that wants multi-KG
-//! routing, per-request overrides, deadlines, batching, per-stage traces or
-//! the cross-request semantic cache should use
-//! [`crate::service::QaService`] directly (the platform's borrowed-endpoint
-//! path bypasses the registry and therefore the per-KG cache namespaces).
+//! [`crate::service::QaService`] is the entry point that answers questions:
+//! [`QaService::answer`](crate::service::QaService::answer) against a
+//! registered KG, [`QaService::answer_on`](crate::service::QaService::answer_on)
+//! against a borrowed endpoint.  Both return an [`AnswerOutcome`] inside
+//! their response, with the per-stage timings of the Figure 7 experiment.
 
-use std::time::Duration;
-
-use kgqan_endpoint::SparqlEndpoint;
 use kgqan_nlp::{AnswerDataType, Seq2SeqVariant};
 use kgqan_rdf::Term;
 
 use crate::affinity::AffinityModel;
 use crate::agp::AnnotatedGraphPattern;
-use crate::error::KgqanError;
 use crate::linker::LinkerConfig;
-use crate::service::{AnswerRequest, QaService};
-use crate::understanding::{QuestionUnderstanding, Understanding};
-
-/// Wall-clock time spent in each of the three KGQAn phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTimings {
-    /// Question understanding.
-    pub understanding: Duration,
-    /// Just-in-time linking.
-    pub linking: Duration,
-    /// Execution and filtration.
-    pub execution_filtration: Duration,
-}
-
-impl PhaseTimings {
-    /// Total response time.
-    pub fn total(&self) -> Duration {
-        self.understanding + self.linking + self.execution_filtration
-    }
-}
+use crate::pipeline::StageTimings;
+use crate::understanding::Understanding;
 
 /// KGQAn configuration: the four tuning parameters of §7.1.6 plus the model
 /// ablation axes of Table 4 and the filtration toggle of Figure 10.
@@ -93,8 +67,8 @@ pub struct AnswerOutcome {
     pub agp: AnnotatedGraphPattern,
     /// The SPARQL queries that were executed.
     pub executed_queries: Vec<String>,
-    /// Per-phase wall-clock timings.
-    pub timings: PhaseTimings,
+    /// Per-stage wall-clock timings.
+    pub timings: StageTimings,
 }
 
 impl AnswerOutcome {
@@ -109,81 +83,14 @@ impl AnswerOutcome {
     }
 }
 
-/// The KGQAn platform: train once, answer questions against any endpoint.
-///
-/// A thin wrapper over a registry-less [`QaService`]: the trained models
-/// live in the service (shared, `Send + Sync`) and each [`Self::answer`]
-/// call routes through the same pipeline that serves
-/// [`QaService::answer`] — minus the registry lookup, since the endpoint is
-/// borrowed per call.
-pub struct KgqanPlatform {
-    service: QaService,
-}
-
-impl KgqanPlatform {
-    /// Build a platform with the default configuration (trains the QU models
-    /// on the built-in corpus; takes a moment).
-    pub fn new() -> Self {
-        Self::with_config(KgqanConfig::default())
-    }
-
-    /// Build a platform with a custom configuration.
-    pub fn with_config(config: KgqanConfig) -> Self {
-        let understanding = QuestionUnderstanding::train_with_variant(config.seq2seq);
-        Self::with_parts(understanding, config)
-    }
-
-    /// Build a platform from an already-trained question-understanding
-    /// component (lets experiments share one trained model across many
-    /// configurations).
-    pub fn with_parts(understanding: QuestionUnderstanding, config: KgqanConfig) -> Self {
-        let service = QaService::builder()
-            .config(config)
-            .understanding(understanding)
-            .build()
-            .expect("a service without registry or default KG has nothing to misconfigure");
-        KgqanPlatform { service }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &KgqanConfig {
-        self.service.config()
-    }
-
-    /// The underlying service (no endpoints registered; useful for sharing
-    /// the trained models with a registry-backed deployment).
-    pub fn service(&self) -> &QaService {
-        &self.service
-    }
-
-    /// The staged pipeline the platform runs questions through.
-    pub fn pipeline(&self) -> &crate::pipeline::Pipeline {
-        self.service.pipeline()
-    }
-
-    /// Answer a question against a SPARQL endpoint.
-    pub fn answer(
-        &self,
-        question: &str,
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<AnswerOutcome, KgqanError> {
-        let request = AnswerRequest::new(question);
-        Ok(self.service.answer_on(&request, endpoint)?.outcome)
-    }
-}
-
-impl Default for KgqanPlatform {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{AnswerRequest, QaService};
     use kgqan_endpoint::InProcessEndpoint;
     use kgqan_rdf::{vocab, Store, Triple};
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     /// A small DBpedia-like knowledge graph covering the test questions.
     fn dbpedia_endpoint() -> InProcessEndpoint {
@@ -258,17 +165,22 @@ mod tests {
         InProcessEndpoint::new("DBpedia", store)
     }
 
-    fn platform() -> &'static KgqanPlatform {
-        static PLATFORM: OnceLock<KgqanPlatform> = OnceLock::new();
-        PLATFORM.get_or_init(KgqanPlatform::new)
+    fn service() -> &'static QaService {
+        static SERVICE: OnceLock<QaService> = OnceLock::new();
+        SERVICE.get_or_init(|| QaService::builder().build().unwrap())
+    }
+
+    fn answer(service: &QaService, question: &str, ep: &InProcessEndpoint) -> AnswerOutcome {
+        service
+            .answer_on(&AnswerRequest::new(question), ep)
+            .unwrap()
+            .outcome
     }
 
     #[test]
     fn answers_single_fact_question() {
         let ep = dbpedia_endpoint();
-        let outcome = platform()
-            .answer("Who is the wife of Barack Obama?", &ep)
-            .unwrap();
+        let outcome = answer(service(), "Who is the wife of Barack Obama?", &ep);
         assert!(
             outcome
                 .answers
@@ -284,12 +196,11 @@ mod tests {
     #[test]
     fn answers_running_example_with_baltic_sea() {
         let ep = dbpedia_endpoint();
-        let outcome = platform()
-            .answer(
-                "Name the sea into which Danish Straits flows and has Kaliningrad as one of the city on the shore",
-                &ep,
-            )
-            .unwrap();
+        let outcome = answer(
+            service(),
+            "Name the sea into which Danish Straits flows and has Kaliningrad as one of the city on the shore",
+            &ep,
+        );
         assert!(
             outcome
                 .answers
@@ -305,9 +216,7 @@ mod tests {
     #[test]
     fn unknown_entity_produces_empty_but_not_error() {
         let ep = dbpedia_endpoint();
-        let outcome = platform()
-            .answer("Who is the wife of Zorblax Qwertyius?", &ep)
-            .unwrap();
+        let outcome = answer(service(), "Who is the wife of Zorblax Qwertyius?", &ep);
         assert!(outcome.answers.is_empty());
         assert!(outcome.is_empty() || outcome.boolean.is_some());
     }
@@ -319,14 +228,15 @@ mod tests {
             filtration_enabled: false,
             ..KgqanConfig::default()
         };
-        let unfiltered_platform =
-            KgqanPlatform::with_parts(QuestionUnderstanding::train_default(), no_filter_config);
-        let outcome = unfiltered_platform
-            .answer("Who is the wife of Barack Obama?", &ep)
+        let unfiltered_service = QaService::builder()
+            .shared_understanding(service().understanding().clone())
+            .config(no_filter_config)
+            .build()
             .unwrap();
+        let outcome = answer(&unfiltered_service, "Who is the wife of Barack Obama?", &ep);
         // Without filtration every collected answer is returned.
         assert_eq!(outcome.answers, outcome.unfiltered_answers);
-        assert!(!unfiltered_platform.config().filtration_enabled);
+        assert!(!unfiltered_service.config().filtration_enabled);
     }
 
     #[test]
@@ -342,16 +252,12 @@ mod tests {
     #[test]
     fn timings_are_recorded_per_phase() {
         let ep = dbpedia_endpoint();
-        let outcome = platform()
-            .answer("Who is the wife of Barack Obama?", &ep)
-            .unwrap();
+        let outcome = answer(service(), "Who is the wife of Barack Obama?", &ep);
         let t = outcome.timings;
-        assert!(t.total() >= t.understanding);
-        assert!(t.total() >= t.linking);
-        assert!(t.total() >= t.execution_filtration);
-        assert_eq!(
-            t.total(),
-            t.understanding + t.linking + t.execution_filtration
-        );
+        assert!(t.total() > Duration::ZERO);
+        assert!(t.total() >= t.understand);
+        assert!(t.total() >= t.link);
+        assert!(t.total() >= t.execute + t.filter);
+        assert_eq!(t.total(), t.understand + t.link + t.execute + t.filter);
     }
 }

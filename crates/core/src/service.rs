@@ -28,19 +28,20 @@
 //!   response carries the best answers collected so far, flagged
 //!   [`BudgetVerdict::Partial`] — a slow KG bounds a request's latency
 //!   instead of running unbounded.
-//! * [`QaService::answer_batch`] fans a slice of requests across a scoped
-//!   thread pool; the service itself is cheaply cloneable (`Arc` inside) and
-//!   `Send + Sync`, so callers can equally well clone it into their own
-//!   threads.
+//! * Every service owns a persistent, bounded [`WorkerPool`]:
+//!   [`QaService::answer_batch`] fans a slice of requests across it,
+//!   [`QaService::try_enqueue`] queues single requests with non-blocking
+//!   back-pressure, and [`QaService::queue_depth`] reports the backlog an
+//!   admission layer sheds against.  The service itself is cheaply
+//!   cloneable (`Arc` inside) and `Send + Sync`, so callers can equally well
+//!   clone it into their own threads.
 //!
-//! [`crate::KgqanPlatform`] remains as a thin one-endpoint compatibility
-//! wrapper over this service.
+//! [`QaService::answer`] serves registered KGs; [`QaService::answer_on`]
+//! answers against a borrowed endpoint that was never registered.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use kgqan_endpoint::{EndpointRegistry, RequestStats, SparqlEndpoint};
 
@@ -49,7 +50,7 @@ use crate::cache::{CacheConfig, CacheReport, CacheStats};
 use crate::error::KgqanError;
 use crate::linker::LinkerConfig;
 use crate::pipeline::{Pipeline, PipelineTrace, StageContext};
-use crate::platform::{AnswerOutcome, KgqanConfig, PhaseTimings};
+use crate::platform::{AnswerOutcome, KgqanConfig};
 use crate::pool::{PoolConfig, PoolStats, SubmitError, Ticket, WorkerPool};
 use crate::understanding::QuestionUnderstanding;
 
@@ -332,10 +333,9 @@ struct ServiceInner {
     registry: EndpointRegistry,
     default_kg: Option<String>,
     next_request_id: AtomicU64,
-    /// The persistent bounded worker pool, when the service was built with
-    /// [`QaServiceBuilder::worker_pool`].  Dropping the service's last clone
-    /// shuts the pool down cleanly (accepted jobs drain, threads join).
-    pool: Option<WorkerPool>,
+    /// The persistent bounded worker pool.  Dropping the service's last
+    /// clone shuts it down cleanly (accepted jobs drain, threads join).
+    pool: WorkerPool,
 }
 
 /// A concurrent, multi-KG question-answering service.
@@ -392,22 +392,23 @@ impl QaService {
         self.inner.registry.invalidate_cache(kg)
     }
 
-    /// The persistent worker pool, when the service was built with
-    /// [`QaServiceBuilder::worker_pool`].
-    pub fn worker_pool(&self) -> Option<&WorkerPool> {
-        self.inner.pool.as_ref()
+    /// The service's persistent worker pool.
+    pub fn worker_pool(&self) -> &WorkerPool {
+        &self.inner.pool
     }
 
-    /// Requests waiting in the worker-pool queue right now (zero for a
-    /// service without a pool).  This is the *real* backlog an admission
-    /// layer compares against its load-shedding threshold.
+    /// Requests waiting in the worker-pool queue right now.  This is the
+    /// *real* backlog an admission layer compares against its
+    /// load-shedding threshold.
     pub fn queue_depth(&self) -> usize {
-        self.inner.pool.as_ref().map_or(0, WorkerPool::queue_depth)
+        self.inner.pool.queue_depth()
     }
 
-    /// A snapshot of the worker pool's counters, if the service has one.
+    /// A snapshot of the worker pool's counters.  Always `Some`: the
+    /// `Option` survives only because the `qabench` harness reads it that
+    /// way; [`QaService::worker_pool`] gives the stats directly.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.inner.pool.as_ref().map(WorkerPool::stats)
+        Some(self.inner.pool.stats())
     }
 
     /// Enqueue one request onto the persistent worker pool without
@@ -417,26 +418,22 @@ impl QaService {
     ///
     /// Fails with [`SubmitError::QueueFull`] when the bounded queue is at
     /// capacity (the caller should shed load) and
-    /// [`SubmitError::ShuttingDown`] once [`QaService::shutdown`] has begun
-    /// — or when the service was built without a pool, which accepts no
-    /// queued work by construction.
+    /// [`SubmitError::ShuttingDown`] once [`QaService::shutdown`] has begun.
     pub fn try_enqueue(
         &self,
         request: AnswerRequest,
     ) -> Result<Ticket<Result<AnswerResponse, KgqanError>>, SubmitError> {
-        let pool = self.inner.pool.as_ref().ok_or(SubmitError::ShuttingDown)?;
         let service = self.clone();
-        pool.try_submit(move || service.answer(request))
+        self.inner.pool.try_submit(move || service.answer(request))
     }
 
     /// Gracefully shut the worker pool down: stop accepting queued work,
     /// run every request already accepted to completion, and join the
-    /// worker threads.  A service without a pool returns immediately.
-    /// Direct [`QaService::answer`] calls keep working after shutdown.
+    /// worker threads.  Direct [`QaService::answer`] calls keep working
+    /// after shutdown, and [`QaService::answer_batch`] then answers on the
+    /// caller's thread.
     pub fn shutdown(&self) {
-        if let Some(pool) = &self.inner.pool {
-            pool.shutdown();
-        }
+        self.inner.pool.shutdown();
     }
 
     /// Ingest a batch of new triples into one registered KG's live store.
@@ -513,8 +510,9 @@ impl QaService {
     /// Answer a request against a borrowed endpoint, bypassing the registry
     /// (and therefore the per-KG cache namespaces).
     ///
-    /// This is the compatibility path [`crate::KgqanPlatform::answer`] uses;
-    /// the response's `kg` field carries the endpoint's own name.
+    /// This serves one-off endpoints that were never registered, such as a
+    /// store built for a single experiment; the response's `kg` field
+    /// carries the endpoint's own name.
     pub fn answer_on(
         &self,
         request: &AnswerRequest,
@@ -524,17 +522,17 @@ impl QaService {
         Ok(run.into_response(&request.question, endpoint.name()))
     }
 
-    /// Answer a batch of requests concurrently on a scoped thread pool.
+    /// Answer a batch of requests concurrently on the service's worker
+    /// pool.
     ///
-    /// Responses come back in request order.  Workers pull requests from a
-    /// shared queue, so one slow KG does not serialise the rest of the
-    /// batch, and all workers share the per-KG cache namespaces, so
-    /// overlapping requests in one batch hit each other's probe results.
-    /// The pool is sized to the machine's available parallelism but never
-    /// below four workers (capped by the batch size): a request's
-    /// wall-clock is dominated by endpoint round-trips, which overlap
-    /// across threads even on a single core — sizing purely by cores would
-    /// serialise IO-bound batches on small machines.
+    /// Responses come back in request order.  Each request is enqueued if
+    /// the pool's bounded queue has room and otherwise answered on the
+    /// caller's thread (natural back-pressure: a batch larger than the
+    /// queue bound never fails, the caller just works alongside the
+    /// workers).  Workers pull from one shared queue, so one slow KG does
+    /// not serialise the rest of the batch, and all of them share the
+    /// per-KG cache namespaces, so overlapping requests in one batch hit
+    /// each other's probe results.
     pub fn answer_batch(
         &self,
         requests: &[AnswerRequest],
@@ -542,34 +540,26 @@ impl QaService {
         if requests.len() <= 1 {
             return requests.iter().map(|r| self.answer(r.clone())).collect();
         }
-        if self.inner.pool.is_some() {
-            return self.answer_batch_pooled(requests);
+        enum Slot {
+            Queued(Ticket<Result<AnswerResponse, KgqanError>>),
+            Inline(Box<Result<AnswerResponse, KgqanError>>),
         }
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .max(4)
-            .min(requests.len());
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<AnswerResponse, KgqanError>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    *slots[i].lock() = Some(self.answer(request.clone()));
-                });
-            }
-        });
+        let slots: Vec<Slot> = requests
+            .iter()
+            .map(|request| match self.try_enqueue(request.clone()) {
+                Ok(ticket) => Slot::Queued(ticket),
+                Err(_) => Slot::Inline(Box::new(self.answer(request.clone()))),
+            })
+            .collect();
         slots
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("scoped workers fill every request slot")
+            .map(|slot| match slot {
+                Slot::Queued(ticket) => ticket.wait().unwrap_or_else(|| {
+                    Err(KgqanError::Configuration(
+                        "pipeline worker was lost while answering the request".into(),
+                    ))
+                }),
+                Slot::Inline(result) => *result,
             })
             .collect()
     }
@@ -603,38 +593,6 @@ impl QaService {
             })
             .collect();
         self.answer_batch(&clamped)
-    }
-
-    /// The pool-backed batch path: enqueue what fits, run the overflow on
-    /// the caller thread (natural back-pressure — a batch larger than the
-    /// queue bound never fails, it just shares the caller's core), then
-    /// collect in request order.
-    fn answer_batch_pooled(
-        &self,
-        requests: &[AnswerRequest],
-    ) -> Vec<Result<AnswerResponse, KgqanError>> {
-        enum Slot {
-            Queued(Ticket<Result<AnswerResponse, KgqanError>>),
-            Inline(Box<Result<AnswerResponse, KgqanError>>),
-        }
-        let slots: Vec<Slot> = requests
-            .iter()
-            .map(|request| match self.try_enqueue(request.clone()) {
-                Ok(ticket) => Slot::Queued(ticket),
-                Err(_) => Slot::Inline(Box::new(self.answer(request.clone()))),
-            })
-            .collect();
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Queued(ticket) => ticket.wait().unwrap_or_else(|| {
-                    Err(KgqanError::Configuration(
-                        "pipeline worker was lost while answering the request".into(),
-                    ))
-                }),
-                Slot::Inline(result) => *result,
-            })
-            .collect()
     }
 
     /// Run the staged pipeline for one request.
@@ -721,11 +679,7 @@ impl RequestRun {
                 understanding: trace.understanding,
                 agp: trace.linked.agp,
                 executed_queries: trace.execution.executed_queries(),
-                timings: PhaseTimings {
-                    understanding: trace.timings.understand,
-                    linking: trace.timings.link,
-                    execution_filtration: trace.timings.execute + trace.timings.filter,
-                },
+                timings: trace.timings,
             },
             query_stats: trace.execution.query_stats,
             endpoint_stats: self.endpoint_stats,
@@ -763,7 +717,7 @@ pub struct QaServiceBuilder {
     pending_endpoints: Vec<Arc<dyn SparqlEndpoint>>,
     cache: Option<CacheConfig>,
     default_kg: Option<String>,
-    pool: Option<PoolConfig>,
+    pool: PoolConfig,
 }
 
 impl QaServiceBuilder {
@@ -776,7 +730,7 @@ impl QaServiceBuilder {
             pending_endpoints: Vec::new(),
             cache: Some(CacheConfig::default()),
             default_kg: None,
-            pool: None,
+            pool: PoolConfig::default(),
         }
     }
 
@@ -843,17 +797,14 @@ impl QaServiceBuilder {
         self
     }
 
-    /// Give the service a persistent, bounded worker pool.
+    /// Size the service's worker pool (default: [`PoolConfig::default`]).
     ///
-    /// With a pool, [`QaService::answer_batch`] reuses the same threads for
-    /// every batch instead of spawning a scoped pool per call,
-    /// [`QaService::try_enqueue`] accepts single queued requests with
-    /// non-blocking back-pressure (the HTTP front-end's admission path),
-    /// [`QaService::queue_depth`] reports the real backlog, and
-    /// [`QaService::shutdown`] (or dropping the last service clone) drains
-    /// accepted work and joins the threads.
+    /// The pool runs [`QaService::answer_batch`] and the requests queued
+    /// with [`QaService::try_enqueue`] (the HTTP front-end's admission
+    /// path); [`QaService::shutdown`] (or dropping the last service clone)
+    /// drains accepted work and joins the threads.
     pub fn worker_pool(mut self, config: PoolConfig) -> Self {
-        self.pool = Some(config);
+        self.pool = config;
         self
     }
 
@@ -901,7 +852,7 @@ impl QaServiceBuilder {
                 registry,
                 default_kg: self.default_kg,
                 next_request_id: AtomicU64::new(0),
-                pool: self.pool.map(WorkerPool::new),
+                pool: WorkerPool::new(self.pool),
             }),
         })
     }
@@ -1218,7 +1169,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert!(service.worker_pool().is_some());
+        assert_eq!(service.worker_pool().stats().workers, 2);
         assert_eq!(service.queue_depth(), 0);
 
         let question = "Who is the wife of Barack Obama?";
@@ -1230,8 +1181,7 @@ mod tests {
         for (i, response) in responses.iter().enumerate() {
             assert_eq!(response.as_ref().unwrap().request_id, format!("r{i}"));
         }
-        let stats = service.pool_stats().unwrap();
-        assert!(stats.completed >= 4);
+        assert!(service.worker_pool().stats().completed >= 4);
 
         // Single enqueued requests resolve to the same result as `answer`.
         let ticket = service.try_enqueue(AnswerRequest::new(question)).unwrap();
@@ -1253,20 +1203,6 @@ mod tests {
             .outcome
             .answers
             .is_empty());
-    }
-
-    #[test]
-    fn unpooled_service_refuses_queued_work() {
-        let service = service_with_one_kg();
-        assert!(service.worker_pool().is_none());
-        assert!(service.pool_stats().is_none());
-        assert_eq!(service.queue_depth(), 0);
-        assert!(matches!(
-            service.try_enqueue(AnswerRequest::new("Who is the wife of Barack Obama?")),
-            Err(crate::pool::SubmitError::ShuttingDown)
-        ));
-        // Shutdown on an unpooled service is a no-op.
-        service.shutdown();
     }
 
     #[test]
@@ -1353,11 +1289,6 @@ mod tests {
             traced.trace.filtered.answers,
             traced.response.outcome.answers
         );
-        let t = traced.trace.timings;
-        assert_eq!(
-            traced.response.outcome.timings.execution_filtration,
-            t.execute + t.filter
-        );
-        assert_eq!(traced.response.outcome.timings.linking, t.link);
+        assert_eq!(traced.response.outcome.timings, traced.trace.timings);
     }
 }

@@ -32,7 +32,7 @@
 //! use kgqan::QaService;
 //! use kgqan_server::{serve, ServerConfig};
 //!
-//! let service: QaService = /* build with endpoints + worker pool */
+//! let service: QaService = /* build with endpoints */
 //! #    QaService::builder().build().unwrap();
 //! let mut handle = serve(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //! println!("serving on http://{}", handle.addr());

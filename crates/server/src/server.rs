@@ -59,8 +59,7 @@ pub struct ServerConfig {
     /// answers `503` directly.
     pub conn_queue_bound: usize,
     /// Pipeline-backlog threshold at which ask requests are shed with
-    /// `503`.  Compared against [`QaService::queue_depth`], so it only
-    /// bites on services built with a worker pool.
+    /// `503`.  Compared against [`QaService::queue_depth`].
     pub shed_queue_depth: usize,
     /// Per-client rate limit; `None` disables the limiter.
     pub rate_limit: Option<RateLimit>,
@@ -394,12 +393,11 @@ fn metrics_page(shared: &Shared) -> Response {
         "pipeline_queue_depth {}\n",
         shared.service.queue_depth()
     ));
-    if let Some(stats) = shared.service.pool_stats() {
-        text.push_str(&format!("pipeline_workers {}\n", stats.workers));
-        text.push_str(&format!("pipeline_running {}\n", stats.running));
-        text.push_str(&format!("pipeline_completed_total {}\n", stats.completed));
-        text.push_str(&format!("pipeline_rejected_total {}\n", stats.rejected));
-    }
+    let stats = shared.service.worker_pool().stats();
+    text.push_str(&format!("pipeline_workers {}\n", stats.workers));
+    text.push_str(&format!("pipeline_running {}\n", stats.running));
+    text.push_str(&format!("pipeline_completed_total {}\n", stats.completed));
+    text.push_str(&format!("pipeline_rejected_total {}\n", stats.rejected));
     for (kg, stats) in &shared.service.cache_report().per_kg {
         text.push_str(&format!("cache_hits_total{{kg={kg}}} {}\n", stats.hits));
         text.push_str(&format!("cache_misses_total{{kg={kg}}} {}\n", stats.misses));
@@ -430,9 +428,7 @@ fn federate_ask(shared: &Shared, request: &Request) -> Response {
     // Same pipeline-backlog shed as single-KG asks: a federated request is
     // several pipeline runs, so it is the first thing to turn away under
     // load.
-    if shared.service.worker_pool().is_some()
-        && shared.service.queue_depth() >= shared.config.shed_queue_depth
-    {
+    if shared.service.queue_depth() >= shared.config.shed_queue_depth {
         shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
         return Response::json(
             503,
@@ -480,9 +476,7 @@ fn ask(shared: &Shared, request: &Request, kg: &str) -> Response {
 
     // Load shed against the *pipeline* backlog, not the socket backlog:
     // accepted-but-unanswerable work is what melts latency.
-    if shared.service.worker_pool().is_some()
-        && shared.service.queue_depth() >= shared.config.shed_queue_depth
-    {
+    if shared.service.queue_depth() >= shared.config.shed_queue_depth {
         shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
         return Response::json(
             503,
@@ -491,34 +485,28 @@ fn ask(shared: &Shared, request: &Request, kg: &str) -> Response {
         .with_header("retry-after", "1");
     }
 
-    let result = if shared.service.worker_pool().is_some() {
-        match shared.service.try_enqueue(answer_request) {
-            Ok(ticket) => match ticket.wait() {
-                Some(result) => result,
-                None => {
-                    return Response::json(
-                        500,
-                        wire::error_body(500, "pipeline worker was lost while answering"),
-                    )
-                }
-            },
-            Err(SubmitError::QueueFull { bound }) => {
-                shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
+    let result = match shared.service.try_enqueue(answer_request) {
+        Ok(ticket) => match ticket.wait() {
+            Some(result) => result,
+            None => {
                 return Response::json(
-                    503,
-                    wire::error_body(503, &format!("pipeline queue is full (bound {bound})")),
+                    500,
+                    wire::error_body(500, "pipeline worker was lost while answering"),
                 )
-                .with_header("retry-after", "1");
             }
-            Err(SubmitError::ShuttingDown) => {
-                return Response::json(503, wire::error_body(503, "service is shutting down"))
-                    .with_header("retry-after", "1");
-            }
+        },
+        Err(SubmitError::QueueFull { bound }) => {
+            shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
+            return Response::json(
+                503,
+                wire::error_body(503, &format!("pipeline queue is full (bound {bound})")),
+            )
+            .with_header("retry-after", "1");
         }
-    } else {
-        // No worker pool: answer on the handler thread.  Admission is then
-        // only connection-level, which is fine for small deployments.
-        shared.service.answer(answer_request)
+        Err(SubmitError::ShuttingDown) => {
+            return Response::json(503, wire::error_body(503, "service is shutting down"))
+                .with_header("retry-after", "1");
+        }
     };
 
     match result {

@@ -6,7 +6,8 @@
 //! * **ask** — `POST /kg/{name}/ask` takes `{"question": ..., "id"?,
 //!   "deadline_ms"?, "max_queries"?}` and answers with the serialized
 //!   [`AnswerResponse`]: answers as SPARQL-JSON terms, the boolean verdict
-//!   for yes/no questions, the budget verdict, phase timings.
+//!   for yes/no questions, the budget verdict, and the request's
+//!   `elapsed_ms`.
 //! * **SPARQL results** — `GET/POST /kg/{name}/sparql` answers in the W3C
 //!   *SPARQL 1.1 Query Results JSON Format*: `{"head": {"vars": [...]},
 //!   "results": {"bindings": [...]}}` for SELECT, `{"head": {},

@@ -1,11 +1,10 @@
 //! A persistent, bounded worker pool for pipeline requests.
 //!
-//! The `kgqan` core crate's `QaService::answer_batch`
-//! historically spawned a scoped thread pool per call; that overlapped
-//! endpoint round-trips nicely, but it gave an external admission layer
-//! (the HTTP front-end in `kgqan-server`) nothing to aim at: no queue to
-//! bound, no depth to read for load shedding, and no lifecycle to drain on
-//! shutdown.  [`WorkerPool`] fixes that:
+//! Every `QaService` in the `kgqan` core crate owns one: `answer_batch`,
+//! queued single requests and the HTTP front-end in `kgqan-server` all run
+//! on the same threads.  A pool gives an admission layer something to aim
+//! at — a queue to bound, a depth to read for load shedding, and a
+//! lifecycle to drain on shutdown:
 //!
 //! * **Bounded queue.**  Jobs wait in a FIFO of capacity
 //!   [`PoolConfig::queue_bound`]; [`WorkerPool::try_submit`] *never blocks* —
@@ -44,12 +43,14 @@ pub struct PoolConfig {
 }
 
 impl Default for PoolConfig {
-    /// Four workers (the floor `answer_batch` always used: request
-    /// wall-clock is dominated by endpoint round-trips, which overlap even
-    /// on one core) and a queue of 64.
+    /// One worker per core but never fewer than four (request wall-clock is
+    /// dominated by endpoint round-trips, which overlap even on one core,
+    /// so sizing purely by cores would serialise IO-bound batches on small
+    /// machines) and a queue of 64.
     fn default() -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         PoolConfig {
-            workers: 4,
+            workers: cores.max(4),
             queue_bound: 64,
         }
     }
@@ -296,8 +297,14 @@ impl PoolHandles {
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner()),
         );
+        // A job that drops the last handle shuts the pool down from inside
+        // a worker.  That worker cannot join itself; it exits on its own
+        // once its job returns and it finds the flag set.
+        let current = std::thread::current().id();
         for handle in handles {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -586,6 +593,24 @@ mod tests {
         };
         assert_eq!(ticket.wait(), Some(()));
         assert!(ran.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn job_that_drops_the_last_handle_still_delivers_its_result() {
+        let pool = WorkerPool::new(PoolConfig::with_workers(1));
+        let last = pool.clone();
+        let (dropped_tx, dropped_rx) = std::sync::mpsc::channel::<()>();
+        let ticket = pool
+            .try_submit(move || {
+                dropped_rx.recv().unwrap();
+                // The pool shuts down on this worker's own thread.
+                drop(last);
+                7usize
+            })
+            .unwrap();
+        drop(pool);
+        dropped_tx.send(()).unwrap();
+        assert_eq!(ticket.wait(), Some(7));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use kgqan::{AnswerRequest, QaService};
 use kgqan_endpoint::{EndpointRegistry, InProcessEndpoint};
 use kgqan_rdf::{parse_ntriples, Store};
 
@@ -40,10 +40,12 @@ fn main() {
     //    SPARQL endpoint URI.
     let mut registry = EndpointRegistry::new();
     registry.register(Arc::new(InProcessEndpoint::new("MusicKG", store)));
-    let endpoint = registry.get("MusicKG").expect("registered endpoint");
 
-    // 3. One platform, any KG.
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    // 3. One service, any KG.
+    let service = QaService::builder()
+        .registry(registry)
+        .build()
+        .expect("registry with one KG");
     let questions = [
         "Who is a member of Radiohead?",
         "When was OK Computer released?",
@@ -51,8 +53,9 @@ fn main() {
     ];
     for question in questions {
         println!("\nQuestion: {question}");
-        match platform.answer(question, endpoint.as_ref()) {
-            Ok(outcome) => {
+        match service.answer(AnswerRequest::new(question).on_kg("MusicKG")) {
+            Ok(response) => {
+                let outcome = response.outcome;
                 if let Some(verdict) = outcome.boolean {
                     println!("  Answer: {verdict}");
                 } else if outcome.answers.is_empty() {

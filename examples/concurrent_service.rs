@@ -1,6 +1,7 @@
 //! Concurrent multi-KG serving with [`QaService`]: build one service over
 //! two registered knowledge graphs, answer with per-request configuration
-//! overrides and deadlines, and fan a batch of requests across threads.
+//! overrides and deadlines, and fan a batch of requests across the
+//! service's worker pool.
 //!
 //! ```text
 //! cargo run --release --example concurrent_service
@@ -120,7 +121,7 @@ fn main() {
         response.verdict,
     );
 
-    // 4. Fan a mixed-KG batch across the scoped thread pool.
+    // 4. Fan a mixed-KG batch across the service's worker pool.
     let batch: Vec<AnswerRequest> = (0..6)
         .map(|i| {
             if i % 2 == 0 {

@@ -7,7 +7,7 @@
 //! cargo run --release --example dblp_scholarly_qa
 //! ```
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use kgqan::{AnswerRequest, QaService};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
 
@@ -24,7 +24,7 @@ fn main() {
     let endpoint = InProcessEndpoint::new("DBLP", kg.store.clone());
 
     println!("Training question-understanding models (general-fact corpus only)…");
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = QaService::builder().build().expect("default service");
 
     let paper = &kg.facts.papers[5];
     let author = &kg.facts.authors[paper.authors[0]];
@@ -37,8 +37,9 @@ fn main() {
 
     for question in &questions {
         println!("\nQuestion: {question}");
-        match platform.answer(question, &endpoint) {
-            Ok(outcome) => {
+        match service.answer_on(&AnswerRequest::new(question.as_str()), &endpoint) {
+            Ok(response) => {
+                let outcome = response.outcome;
                 if let Some(verdict) = outcome.boolean {
                     println!("  Answer: {verdict}");
                 } else if outcome.answers.is_empty() {

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use kgqan::{AnswerRequest, QaService};
 use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
@@ -56,17 +56,21 @@ fn main() {
     let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", store));
 
     // 3. Train the (KG-independent) question-understanding models and build
-    //    the platform with the paper's default configuration.
+    //    a service over the endpoint with the paper's default configuration.
     println!("Training question-understanding models (one-time, KG-independent)…");
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = QaService::builder()
+        .endpoint(Arc::clone(&endpoint) as Arc<dyn SparqlEndpoint>)
+        .build()
+        .expect("one registered KG");
 
     // 4. Ask the running example question.
     let question = "Name the sea into which Danish Straits flows and has \
                     Kaliningrad as one of the city on the shore";
     println!("\nQuestion: {question}");
-    let outcome = platform
-        .answer(question, endpoint.as_ref())
-        .expect("question should be understood");
+    let outcome = service
+        .answer(AnswerRequest::new(question))
+        .expect("question should be understood")
+        .outcome;
 
     println!("\nPhrase graph pattern (the system's understanding):");
     print!("{}", outcome.understanding.pgp);
@@ -88,11 +92,10 @@ fn main() {
     for answer in &outcome.answers {
         println!("  {answer}");
     }
+    let t = outcome.timings;
     println!(
-        "\nPhase timings — understanding: {:?}, linking: {:?}, execution+filtration: {:?}",
-        outcome.timings.understanding,
-        outcome.timings.linking,
-        outcome.timings.execution_filtration
+        "\nStage timings — understand: {:?}, link: {:?}, execute: {:?}, filter: {:?}",
+        t.understand, t.link, t.execute, t.filter
     );
     println!(
         "Endpoint served {} requests in total.",

@@ -11,7 +11,7 @@
 //! cargo run --release --example unseen_kg_mag
 //! ```
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use kgqan::{AnswerRequest, QaService};
 use kgqan_baselines::{GAnswerSystem, QaSystem};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
@@ -32,9 +32,10 @@ fn main() {
 
     // KGQAn: no pre-processing, just-in-time linking.
     println!("\n-- KGQAn (no pre-processing) --");
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
-    match platform.answer(&question, &endpoint) {
-        Ok(outcome) => {
+    let service = QaService::builder().build().expect("default service");
+    match service.answer_on(&AnswerRequest::new(question.as_str()), &endpoint) {
+        Ok(response) => {
+            let outcome = response.outcome;
             if outcome.answers.is_empty() {
                 println!("  No answer found.");
             }

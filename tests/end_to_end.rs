@@ -4,19 +4,27 @@
 
 use std::sync::OnceLock;
 
-use kgqan::{KgqanConfig, KgqanPlatform, QuestionUnderstanding};
+use kgqan::{AnswerOutcome, AnswerRequest, QaService, QuestionUnderstanding};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
 use kgqan_nlp::AnswerDataType;
 
-fn platform() -> &'static KgqanPlatform {
-    static PLATFORM: OnceLock<KgqanPlatform> = OnceLock::new();
-    PLATFORM.get_or_init(|| {
-        KgqanPlatform::with_parts(
-            QuestionUnderstanding::train_default(),
-            KgqanConfig::default(),
-        )
+fn service() -> &'static QaService {
+    static SERVICE: OnceLock<QaService> = OnceLock::new();
+    SERVICE.get_or_init(|| {
+        QaService::builder()
+            .understanding(QuestionUnderstanding::train_default())
+            .build()
+            .expect("a service with no KGs has nothing to misconfigure")
     })
+}
+
+/// Answer `question` against the borrowed generated endpoint.
+fn answer(question: &str, endpoint: &InProcessEndpoint) -> AnswerOutcome {
+    service()
+        .answer_on(&AnswerRequest::new(question), endpoint)
+        .unwrap()
+        .outcome
 }
 
 fn dbpedia() -> &'static (GeneratedKg, InProcessEndpoint) {
@@ -33,9 +41,7 @@ fn single_fact_question_returns_gold_spouse() {
     let (kg, ep) = dbpedia();
     let person = kg.facts.people.iter().find(|p| p.spouse.is_some()).unwrap();
     let spouse = &kg.facts.people[person.spouse.unwrap()];
-    let outcome = platform()
-        .answer(&format!("Who is the wife of {}?", person.name), ep)
-        .unwrap();
+    let outcome = answer(&format!("Who is the wife of {}?", person.name), ep);
     assert!(
         outcome.answers.contains(&spouse.iri),
         "expected {} among {:?}",
@@ -50,12 +56,10 @@ fn fact_with_type_question_returns_capital_city() {
     let (kg, ep) = dbpedia();
     let country = &kg.facts.countries[4];
     let capital = &kg.facts.cities[country.capital];
-    let outcome = platform()
-        .answer(
-            &format!("Which city is the capital of {}?", country.name),
-            ep,
-        )
-        .unwrap();
+    let outcome = answer(
+        &format!("Which city is the capital of {}?", country.name),
+        ep,
+    );
     assert!(
         outcome.answers.contains(&capital.iri),
         "expected {} among {:?}",
@@ -74,7 +78,7 @@ fn multi_fact_question_constrains_the_unknown_with_both_facts() {
         "Name the sea into which {} flows and has {} as one of the city on the shore",
         straits.name, city.name
     );
-    let outcome = platform().answer(&question, ep).unwrap();
+    let outcome = answer(&question, ep);
     assert!(
         outcome.answers.contains(&sea.iri),
         "expected {} among {:?}",
@@ -88,9 +92,7 @@ fn multi_fact_question_constrains_the_unknown_with_both_facts() {
 fn date_question_returns_a_date_literal() {
     let (kg, ep) = dbpedia();
     let person = &kg.facts.people[10];
-    let outcome = platform()
-        .answer(&format!("When was {} born?", person.name), ep)
-        .unwrap();
+    let outcome = answer(&format!("When was {} born?", person.name), ep);
     assert_eq!(outcome.predicted_data_type(), AnswerDataType::Date);
     assert!(
         outcome
@@ -109,24 +111,20 @@ fn boolean_question_gets_correct_verdicts_in_both_directions() {
     let capital = &kg.facts.cities[country.capital];
     let not_capital = &kg.facts.cities[(country.capital + 5) % kg.facts.cities.len()];
 
-    let yes = platform()
-        .answer(
-            &format!("Is {} the capital of {}?", capital.name, country.name),
-            ep,
-        )
-        .unwrap();
+    let yes = answer(
+        &format!("Is {} the capital of {}?", capital.name, country.name),
+        ep,
+    );
     assert_eq!(
         yes.boolean,
         Some(true),
         "expected yes for the true statement"
     );
 
-    let no = platform()
-        .answer(
-            &format!("Is {} the capital of {}?", not_capital.name, country.name),
-            ep,
-        )
-        .unwrap();
+    let no = answer(
+        &format!("Is {} the capital of {}?", not_capital.name, country.name),
+        ep,
+    );
     assert_eq!(
         no.boolean,
         Some(false),
@@ -138,11 +136,11 @@ fn boolean_question_gets_correct_verdicts_in_both_directions() {
 fn pipeline_reports_all_three_phase_timings_and_queries() {
     let (kg, ep) = dbpedia();
     let person = &kg.facts.people[1];
-    let outcome = platform()
-        .answer(&format!("Where was {} born?", person.name), ep)
-        .unwrap();
+    let outcome = answer(&format!("Where was {} born?", person.name), ep);
     assert!(!outcome.executed_queries.is_empty());
-    assert!(outcome.timings.total() >= outcome.timings.linking);
+    let t = outcome.timings;
+    assert!(t.total() >= t.link);
+    assert_eq!(t.total(), t.understand + t.link + t.execute + t.filter);
     // The executed SPARQL carries the OPTIONAL rdf:type clause used by the
     // post-filter (Figure 6).
     assert!(outcome.executed_queries[0].contains("OPTIONAL"));
@@ -151,8 +149,6 @@ fn pipeline_reports_all_three_phase_timings_and_queries() {
 #[test]
 fn nonsense_entity_yields_empty_answer_not_error() {
     let (_, ep) = dbpedia();
-    let outcome = platform()
-        .answer("Who is the wife of Xyzzyplugh Frobozz?", ep)
-        .unwrap();
+    let outcome = answer("Who is the wife of Xyzzyplugh Frobozz?", ep);
     assert!(outcome.answers.is_empty());
 }

@@ -1,12 +1,17 @@
 //! Serving-layer integration tests: one shared [`QaService`] answering
 //! concurrently against multiple registered KGs, per-request deadlines
-//! degrading gracefully on slow endpoints, and `answer_batch` agreeing with
-//! sequential answering.
+//! degrading gracefully on slow endpoints, `answer_batch` agreeing with
+//! sequential answering on the service's own worker pool, and queued
+//! requests surviving the service being dropped.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use kgqan::{AnswerRequest, BudgetVerdict, ConfigOverrides, QaService, QuestionUnderstanding};
+use kgqan::pipeline::{Pipeline, Understand};
+use kgqan::{
+    AffinityModel, AnswerRequest, BudgetVerdict, ConfigOverrides, KgqanError, PoolConfig,
+    QaService, QuestionUnderstanding, Understanding,
+};
 use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
@@ -83,6 +88,34 @@ fn seas_store() -> Store {
 const PEOPLE_QUESTION: &str = "Who is the wife of Barack Obama?";
 const SEAS_QUESTION: &str = "Name the sea into which Danish Straits flows \
                              and has Kaliningrad as one of the city on the shore";
+
+/// KGQAn's understanding stage behind a hook that runs first, so a test can
+/// hold pipeline runs at a point of its choosing.
+struct Hooked<F> {
+    inner: Arc<QuestionUnderstanding>,
+    hook: F,
+}
+
+impl<F: Fn() + Send + Sync> Understand for Hooked<F> {
+    fn understand(&self, question: &str) -> Result<Understanding, KgqanError> {
+        (self.hook)();
+        self.inner.understand(question)
+    }
+}
+
+fn hooked_pipeline(
+    understanding: &Arc<QuestionUnderstanding>,
+    hook: impl Fn() + Send + Sync + 'static,
+) -> Pipeline {
+    Pipeline::kgqan(
+        Arc::clone(understanding),
+        Arc::from(AffinityModel::FineGrained.build()),
+    )
+    .with_understand(Arc::new(Hooked {
+        inner: Arc::clone(understanding),
+        hook,
+    }))
+}
 
 fn two_kg_service() -> QaService {
     QaService::builder()
@@ -260,4 +293,120 @@ fn answer_batch_agrees_with_sequential_answers_across_kgs() {
         assert_eq!(&response.outcome.answers, expected, "request {i} diverged");
         assert_eq!(response.kg, requests[i].kg.clone().unwrap());
     }
+
+    // A batch four times the pool's queue bound: what does not fit in the
+    // queue is answered on the caller's thread, and responses still come
+    // back in request order with the sequential answers.  Workers wait
+    // until the caller answers a request itself, which it does only once
+    // the queue is full, so the overflow path runs on every schedule.
+    let caller = std::thread::current().id();
+    let overflowed = Arc::new((Mutex::new(false), Condvar::new()));
+    let hold_workers = move || {
+        let (lock, cvar) = &*overflowed;
+        let mut open = lock.lock().unwrap();
+        if std::thread::current().id() == caller {
+            *open = true;
+            cvar.notify_all();
+        }
+        while !*open {
+            open = cvar.wait(open).unwrap();
+        }
+    };
+    let small_queue = QaService::builder()
+        .shared_understanding(Arc::clone(service.understanding()))
+        .pipeline(hooked_pipeline(service.understanding(), hold_workers))
+        .endpoint(Arc::new(InProcessEndpoint::new("People", people_store())))
+        .endpoint(Arc::new(InProcessEndpoint::new("Seas", seas_store())))
+        .worker_pool(PoolConfig {
+            workers: 2,
+            queue_bound: 3,
+        })
+        .build()
+        .unwrap();
+    let long: Vec<AnswerRequest> = (0..12)
+        .map(|i| {
+            requests[i % requests.len()]
+                .clone()
+                .with_id(format!("r{i}"))
+        })
+        .collect();
+    let batched = small_queue.answer_batch(&long);
+    assert_eq!(batched.len(), long.len());
+    for (i, response) in batched.iter().enumerate() {
+        let response = response.as_ref().expect("batch request succeeds");
+        assert_eq!(response.request_id, format!("r{i}"));
+        assert_eq!(response.kg, long[i].kg.clone().unwrap());
+        assert_eq!(
+            response.outcome.answers,
+            sequential[i % requests.len()],
+            "request {i} diverged"
+        );
+    }
+    let stats = small_queue.worker_pool().stats();
+    assert!(
+        stats.rejected > 0,
+        "the overflow never ran inline: {stats:?}"
+    );
+    assert_eq!(
+        stats.completed as usize + stats.rejected as usize,
+        long.len()
+    );
+}
+
+#[test]
+fn successive_batches_reuse_the_default_pool() {
+    let service = two_kg_service();
+    let requests = vec![
+        AnswerRequest::new(PEOPLE_QUESTION).on_kg("People"),
+        AnswerRequest::new(SEAS_QUESTION).on_kg("Seas"),
+    ];
+    let before = service.worker_pool().stats();
+    assert_eq!(before.workers, PoolConfig::default().workers);
+    assert!(before.workers >= 4);
+
+    assert!(service.answer_batch(&requests).iter().all(Result::is_ok));
+    let first = service.worker_pool().stats();
+    assert!(service.answer_batch(&requests).iter().all(Result::is_ok));
+    let second = service.worker_pool().stats();
+
+    // The same workers served both batches: no threads were added per
+    // call, while the completed count grew with every batch.
+    assert_eq!(first.workers, before.workers);
+    assert_eq!(second.workers, before.workers);
+    assert!(first.completed > before.completed);
+    assert!(second.completed > first.completed);
+}
+
+#[test]
+fn queued_request_survives_the_last_service_clone_being_dropped() {
+    // The queued job waits until the caller has dropped its handle, so the
+    // job holds the last clone, and dropping it shuts the pool down on the
+    // worker's own thread.
+    let (dropped_tx, dropped_rx) = mpsc::channel::<()>();
+    let dropped_rx = Mutex::new(dropped_rx);
+    let understanding = Arc::new(QuestionUnderstanding::train_default());
+    let service = QaService::builder()
+        .shared_understanding(Arc::clone(&understanding))
+        .pipeline(hooked_pipeline(&understanding, move || {
+            dropped_rx.lock().unwrap().recv().unwrap();
+        }))
+        .endpoint(Arc::new(InProcessEndpoint::new("People", people_store())))
+        .workers(1)
+        .build()
+        .unwrap();
+    let ticket = service
+        .try_enqueue(AnswerRequest::new(PEOPLE_QUESTION))
+        .unwrap();
+    drop(service);
+    dropped_tx.send(()).unwrap();
+
+    let response = ticket
+        .wait()
+        .expect("the worker delivered the answer it computed")
+        .unwrap();
+    assert!(response
+        .outcome
+        .answers
+        .iter()
+        .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")));
 }

@@ -2,12 +2,12 @@
 //!
 //! Builds the miniature DBpedia fragment around the paper's running example
 //! 𝑞_E (Figure 4), wraps it in an [`InProcessEndpoint`], and asserts that a
-//! default-configured [`KgqanPlatform`] produces the gold answer. This is
+//! default-configured [`QaService`] produces the gold answer. This is
 //! deliberately fast (a 7-triple KG) so it can guard every CI run.
 
 use std::sync::Arc;
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use kgqan::{AnswerRequest, QaService};
 use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
@@ -51,16 +51,25 @@ fn quickstart_store() -> Store {
     store
 }
 
+/// The quickstart's service: one registered KG, default configuration.
+fn quickstart_service(endpoint: &Arc<InProcessEndpoint>) -> QaService {
+    QaService::builder()
+        .endpoint(Arc::clone(endpoint) as Arc<dyn SparqlEndpoint>)
+        .build()
+        .expect("one registered KG")
+}
+
 #[test]
 fn quickstart_running_example_answers_baltic_sea() {
     let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", quickstart_store()));
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = quickstart_service(&endpoint);
 
     let question = "Name the sea into which Danish Straits flows and has \
                     Kaliningrad as one of the city on the shore";
-    let outcome = platform
-        .answer(question, endpoint.as_ref())
-        .expect("the running example question must be understood");
+    let outcome = service
+        .answer(AnswerRequest::new(question))
+        .expect("the running example question must be understood")
+        .outcome;
 
     // The gold answer of the running example.
     assert!(
@@ -86,15 +95,15 @@ fn quickstart_running_example_answers_baltic_sea() {
 #[test]
 fn quickstart_platform_is_reusable_across_questions() {
     let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", quickstart_store()));
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = quickstart_service(&endpoint);
 
-    // The platform trains once and answers any number of questions; a second
+    // The service trains once and answers any number of questions; a second
     // question on the same instance must not panic or poison state.
     for question in [
         "Name the sea into which Danish Straits flows and has \
          Kaliningrad as one of the city on the shore",
         "What flows into the Baltic Sea?",
     ] {
-        let _ = platform.answer(question, endpoint.as_ref());
+        let _ = service.answer(AnswerRequest::new(question));
     }
 }
